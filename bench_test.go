@@ -14,7 +14,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/diagnosis"
 	"repro/internal/experiment"
+	"repro/internal/faultsim"
 	"repro/internal/gen"
 	"repro/internal/gnn"
 	"repro/internal/hgraph"
@@ -326,6 +328,39 @@ func BenchmarkBacktrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := f.test[i%len(f.test)]
 		f.bundle.Graph.Backtrace(s.Log, f.bundle.Diag.Result())
+	}
+}
+
+// BenchmarkScoreCandidate measures scoring one ATPG candidate (one
+// event-driven fault propagation plus popcounts against the observed
+// bitmasks) at steady state on a warmed engine fork. The candidates are
+// the reported suspects of the test chips, each chip once uncompacted and
+// once EDT-compacted, so allocs/op covers both scoring modes (must be 0).
+func BenchmarkScoreCandidate(b *testing.B) {
+	f := getFixture(b)
+	eng := f.bundle.Diag.Fork()
+	type job struct {
+		cand     faultsim.Fault
+		observed *diagnosis.Observed
+	}
+	var jobs []job
+	for _, s := range f.test {
+		for _, compacted := range []bool{false, true} {
+			log := eng.InjectLog(s.Faults, compacted)
+			o := eng.NewObserved(log)
+			for _, c := range eng.Diagnose(log).Candidates {
+				jobs = append(jobs, job{c.Fault, o})
+			}
+		}
+	}
+	for _, j := range jobs {
+		eng.ScoreCandidate(j.cand, j.observed)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := jobs[i%len(jobs)]
+		eng.ScoreCandidate(j.cand, j.observed)
 	}
 }
 

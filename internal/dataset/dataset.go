@@ -329,9 +329,10 @@ func (b *Bundle) Generate(opt SampleOptions) []Sample {
 		opt.MaxFails = 256
 	}
 	workers := par.Workers(opt.Workers)
+	// Every worker injects on a fork, so generation never touches the
+	// scratch of b.Diag, which concurrent diagnoses may be using.
 	engines := make([]*diagnosis.Engine, workers)
-	engines[0] = b.Diag
-	for i := 1; i < workers; i++ {
+	for i := range engines {
 		engines[i] = b.Diag.Fork()
 	}
 	// Telemetry handles resolved once; all nil (free no-ops) when opt.Obs

@@ -134,6 +134,18 @@ type Engine struct {
 	opt  Options
 
 	cones *coneStore // capture gate -> fan-in cone gate IDs, shared by forks
+	// obsIndex maps a faultsim observation index (Netlist.ObservationPoints
+	// order) to the scan observation index, uncompacted [0] and EDT [1].
+	obsIndex [2][]int32
+
+	// forks hands each Diagnose call a fork of its own, so concurrent calls
+	// on one engine never share fault-simulation scratch. Shared by forks.
+	forks *forkPool
+
+	// Fork-private EDT fold scratch for ScoreCandidate.
+	fold    []uint64 // [obs*words+w]: XOR of the cell diffs behind obs
+	folded  []bool   // obs has a partial fold in this call
+	touched []int32  // folded observations, in first-touch order
 }
 
 // coneStore is the fan-in cone cache shared between an engine and its
@@ -157,20 +169,60 @@ func (c *coneStore) put(capture int, cone []int32) {
 	c.mu.Unlock()
 }
 
+// forkPool recycles engine forks across Diagnose calls. Unlike a
+// sync.Pool it keeps its forks through garbage collection and hands them
+// back to any goroutine, so serial callers reuse one fork's warm scratch
+// and the pool never holds more forks than calls that ever ran at once.
+type forkPool struct {
+	mu   sync.Mutex
+	free []*Engine
+}
+
+func (p *forkPool) get(d *Engine) *Engine {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		e := p.free[n-1]
+		p.free = p.free[:n-1]
+		return e
+	}
+	return d.Fork()
+}
+
+func (p *forkPool) put(e *Engine) {
+	p.mu.Lock()
+	p.free = append(p.free, e)
+	p.mu.Unlock()
+}
+
 // NewEngine runs the good-machine simulation and prepares cone caches.
 func NewEngine(arch *scan.Arch, ps *sim.PatternSet, opt Options) (*Engine, error) {
 	s, err := sim.New(arch.Netlist())
 	if err != nil {
 		return nil, err
 	}
+	n := arch.Netlist()
+	var obsIndex [2][]int32
+	for mode, compacted := range []bool{false, true} {
+		idx := make([]int32, 0, len(n.POs)+len(n.FFs))
+		for i := range n.POs {
+			idx = append(idx, int32(arch.ObsOfPO(i)))
+		}
+		for i := range n.FFs {
+			idx = append(idx, int32(arch.ObsOfFF(i, compacted)))
+		}
+		obsIndex[mode] = idx
+	}
 	return &Engine{
-		sim:   s,
-		fsim:  faultsim.NewEngine(s),
-		arch:  arch,
-		ps:    ps,
-		res:   s.Run(ps),
-		opt:   opt.withDefaults(),
-		cones: &coneStore{m: make(map[int][]int32)},
+		sim:      s,
+		fsim:     faultsim.NewEngine(s),
+		arch:     arch,
+		ps:       ps,
+		res:      s.Run(ps),
+		opt:      opt.withDefaults(),
+		cones:    &coneStore{m: make(map[int][]int32)},
+		obsIndex: obsIndex,
+		forks:    &forkPool{},
 	}, nil
 }
 
@@ -181,13 +233,15 @@ func NewEngine(arch *scan.Arch, ps *sim.PatternSet, opt Options) (*Engine, error
 // a fork are bitwise-identical to the parent's.
 func (d *Engine) Fork() *Engine {
 	return &Engine{
-		sim:   d.sim,
-		fsim:  d.fsim.Fork(),
-		arch:  d.arch,
-		ps:    d.ps,
-		res:   d.res,
-		opt:   d.opt,
-		cones: d.cones,
+		sim:      d.sim,
+		fsim:     d.fsim.Fork(),
+		arch:     d.arch,
+		ps:       d.ps,
+		res:      d.res,
+		opt:      d.opt,
+		cones:    d.cones,
+		obsIndex: d.obsIndex,
+		forks:    d.forks,
 	}
 }
 
@@ -354,29 +408,6 @@ func faultHash(f faultsim.Fault) uint64 {
 	return h
 }
 
-// score fault-simulates one candidate and compares its predicted failures
-// to the observed log. When the log was truncated by the tester's fail
-// memory, predicted failures beyond the last recorded pattern are not
-// evidence against the candidate and are ignored.
-func (d *Engine) score(cand faultsim.Fault, observed map[int64]bool, compacted bool, horizon int32) Candidate {
-	diff := d.fsim.Diff(d.res, []faultsim.Fault{cand})
-	pred := d.arch.FailuresFromDiffUnsorted(diff, d.ps.N, compacted)
-	c := Candidate{Fault: cand}
-	for _, p := range pred {
-		if horizon >= 0 && p.Pattern > horizon {
-			continue
-		}
-		if observed[failureKey(p)] {
-			c.TFSF++
-		} else {
-			c.TPSF++
-		}
-	}
-	c.TFSP = len(observed) - c.TFSF
-	c.Score = float64(c.TFSF) - d.opt.TFSPWeight*float64(c.TFSP) - d.opt.TPSFWeight*float64(c.TPSF)
-	return c
-}
-
 // sanitize drops fails the engine's pattern set and scan architecture
 // cannot address (out-of-range pattern or observation indices). Tester
 // logs arrive from outside the pipeline and may disagree with the
@@ -400,7 +431,14 @@ func (d *Engine) Diagnose(log *failurelog.Log) *Report {
 // cost), so a diagnosis whose deadline expires returns within one
 // fault-simulation of the cancellation instead of scoring the remaining
 // pool. On cancellation it returns a nil report and the context's error.
+// Safe for concurrent use: every call runs on a pooled fork.
 func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report, error) {
+	w := d.forks.get(d)
+	defer d.forks.put(w)
+	return w.diagnose(ctx, log)
+}
+
+func (d *Engine) diagnose(ctx context.Context, log *failurelog.Log) (*Report, error) {
 	rep := &Report{Design: log.Design, Compacted: log.Compacted}
 	log = d.sanitize(log)
 	if log.Empty() {
@@ -415,14 +453,7 @@ func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report,
 	span.End()
 	obs.Add(ctx, "m3d_diag_candidates_extracted_total", int64(len(cands)))
 
-	observed := make(map[int64]bool, len(log.Fails))
-	for _, f := range log.Fails {
-		observed[failureKey(f)] = true
-	}
-	horizon := int32(-1)
-	if log.Truncated {
-		horizon = log.LastPattern()
-	}
+	observed := d.NewObserved(log)
 	// Stage 1: score net-level candidates.
 	span = obs.Start(ctx, "diagnosis.score")
 	scored := make([]Candidate, 0, len(cands))
@@ -431,7 +462,7 @@ func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report,
 			span.End()
 			return nil, fmt.Errorf("diagnosis: %w", err)
 		}
-		c := d.score(cand, observed, log.Compacted, horizon)
+		c := d.ScoreCandidate(cand, observed)
 		if c.TFSF == 0 {
 			continue
 		}
@@ -453,7 +484,7 @@ func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report,
 			return nil, fmt.Errorf("diagnosis: %w", err)
 		}
 		for _, bc := range d.branchCandidates(c.Fault) {
-			sc := d.score(bc, observed, log.Compacted, horizon)
+			sc := d.ScoreCandidate(bc, observed)
 			if sc.TFSF > 0 {
 				scored = append(scored, sc)
 			}
@@ -530,17 +561,10 @@ func (d *Engine) DebugExtract(log *failurelog.Log) ExtractStats {
 	log = d.sanitize(log)
 	count, responses := d.suspects(log)
 	cands := d.extractCandidates(log, count, responses)
-	observed := make(map[int64]bool, len(log.Fails))
-	for _, f := range log.Fails {
-		observed[failureKey(f)] = true
-	}
-	horizon := int32(-1)
-	if log.Truncated {
-		horizon = log.LastPattern()
-	}
+	observed := d.NewObserved(log)
 	st := ExtractStats{Extracted: len(cands)}
 	for _, cand := range cands {
-		c := d.score(cand, observed, log.Compacted, horizon)
+		c := d.ScoreCandidate(cand, observed)
 		st.AllScores = append(st.AllScores, c.Score)
 	}
 	return st

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -390,4 +392,40 @@ func TestDiagnoseCtxCancelled(t *testing.T) {
 	if got.Resolution() != want.Resolution() {
 		t.Fatalf("ctx path resolution %d != plain %d", got.Resolution(), want.Resolution())
 	}
+}
+
+// TestConcurrentDiagnoseMatchesSerial runs single- and multi-fault
+// diagnoses of several logs concurrently on one shared engine and checks
+// every report against the serial one.
+func TestConcurrentDiagnoseMatchesSerial(t *testing.T) {
+	fx := getFixture(t, 0.1, 1)
+	var logs []*failurelog.Log
+	for _, compacted := range []bool{false, true} {
+		for _, f := range detectableFaults(fx, compacted, 4, 59) {
+			logs = append(logs, fx.eng.InjectLog([]faultsim.Fault{f}, compacted))
+		}
+	}
+	runs := []func(*failurelog.Log) *Report{fx.eng.Diagnose, fx.eng.DiagnoseMulti}
+	want := make([][]*Report, len(runs))
+	for r, run := range runs {
+		for _, log := range logs {
+			want[r] = append(want[r], run(log))
+		}
+	}
+	const rounds = 3
+	var wg sync.WaitGroup
+	for r, run := range runs {
+		for i, log := range logs {
+			for k := 0; k < rounds; k++ {
+				wg.Add(1)
+				go func(r, i int, run func(*failurelog.Log) *Report, log *failurelog.Log) {
+					defer wg.Done()
+					if got := run(log); !reflect.DeepEqual(got, want[r][i]) {
+						t.Errorf("run %d log %d: concurrent report differs from serial", r, i)
+					}
+				}(r, i, run, log)
+			}
+		}
+	}
+	wg.Wait()
 }

@@ -26,37 +26,11 @@ func (d *Engine) CandidatesFromVotes(log *failurelog.Log, count []int32, respons
 	return d.extractCandidates(log, count, responses)
 }
 
-// ScoreCandidate fault-simulates one candidate against the observed
-// failure set (see score). Safe for concurrent use on forked engines.
-func (d *Engine) ScoreCandidate(cand faultsim.Fault, observed map[int64]bool, compacted bool, horizon int32) Candidate {
-	return d.score(cand, observed, compacted, horizon)
-}
-
 // BranchExpansions expands a net-level candidate into its per-branch
 // input-pin faults (see branchCandidates). Pure: depends only on the
 // netlist structure.
 func (d *Engine) BranchExpansions(c faultsim.Fault) []faultsim.Fault {
 	return d.branchCandidates(c)
-}
-
-// ObservedSet builds the observed-failure set keyed the way scoring
-// compares predicted failures against the log.
-func ObservedSet(log *failurelog.Log) map[int64]bool {
-	observed := make(map[int64]bool, len(log.Fails))
-	for _, f := range log.Fails {
-		observed[failureKey(f)] = true
-	}
-	return observed
-}
-
-// ScoreHorizon returns the truncation horizon for scoring: the last
-// recorded pattern when the tester's fail memory truncated the log, -1
-// otherwise.
-func ScoreHorizon(log *failurelog.Log) int32 {
-	if log.Truncated {
-		return log.LastPattern()
-	}
-	return -1
 }
 
 // AssembleReport applies the inclusion policy to an already-ranked

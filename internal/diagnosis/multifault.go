@@ -39,8 +39,15 @@ func (d *Engine) DiagnoseMulti(log *failurelog.Log) *Report {
 // context is checked before each candidate fault simulation and each greedy
 // cover round, so an expired deadline stops the (much larger) multi-fault
 // candidate sweep promptly. On cancellation it returns a nil report and the
-// context's error.
+// context's error. Safe for concurrent use: every call runs on a pooled
+// fork.
 func (d *Engine) DiagnoseMultiCtx(ctx context.Context, log *failurelog.Log) (*Report, error) {
+	w := d.forks.get(d)
+	defer d.forks.put(w)
+	return w.diagnoseMulti(ctx, log)
+}
+
+func (d *Engine) diagnoseMulti(ctx context.Context, log *failurelog.Log) (*Report, error) {
 	rep := &Report{Design: log.Design, Compacted: log.Compacted}
 	log = d.sanitize(log)
 	if log.Empty() {

@@ -5,6 +5,19 @@ import (
 	"repro/internal/sim"
 )
 
+// ObsDiff is the capture-value difference a single fault causes at one
+// observation point.
+type ObsDiff struct {
+	// Obs is the observation point's index in Netlist.ObservationPoints:
+	// primary outputs first, then flops.
+	Obs int
+	// Gate is the PO or flop gate.
+	Gate int
+	// Diff is the bit-parallel good XOR faulty captured value. Bits beyond
+	// the pattern count are not masked.
+	Diff []uint64
+}
+
 // diffState holds reusable buffers for the single-fault multi-word diff
 // path, the inner loop of diagnosis candidate scoring.
 type diffState struct {
@@ -14,37 +27,124 @@ type diffState struct {
 	pstamp []int32
 	stamp  int32
 	queue  *levelQueue
-	capts  []int32 // changed capture gates collected during propagation
-	isCapt []bool
+	capts  []int32  // changed capture gates collected during propagation
+	out    []uint64 // evaluated gate value
+	pert   []uint64 // faulty value of a perturbed input pin
+	// obsOff/obsList form a per-gate CSR of the observation points a gate
+	// is captured by; obsGates maps an observation index to its gate.
+	obsOff   []int32
+	obsList  []int32
+	obsGates []int
+	buf      []uint64 // diff words handed out by DiffObs
+	diffs    []ObsDiff
 }
 
 func (e *Engine) initDiff(words int) {
 	n := e.n
 	ds := &diffState{
-		words:  words,
-		fval:   make([]uint64, len(n.Gates)*words),
-		vstamp: make([]int32, len(n.Gates)),
-		pstamp: make([]int32, len(n.Gates)),
-		isCapt: make([]bool, len(n.Gates)),
+		words:    words,
+		fval:     make([]uint64, len(n.Gates)*words),
+		vstamp:   make([]int32, len(n.Gates)),
+		pstamp:   make([]int32, len(n.Gates)),
+		out:      make([]uint64, words),
+		pert:     make([]uint64, words),
+		obsOff:   make([]int32, len(n.Gates)+1),
+		obsGates: n.ObservationPoints(),
 	}
 	for i := range ds.vstamp {
 		ds.vstamp[i] = -1
 		ds.pstamp[i] = -1
 	}
-	for _, po := range n.POs {
-		ds.isCapt[n.Gates[po].Fanin[0]] = true
+	capture := func(obs int) int { return n.Gates[ds.obsGates[obs]].Fanin[0] }
+	for obs := range ds.obsGates {
+		ds.obsOff[capture(obs)+1]++
 	}
-	for _, ff := range n.FFs {
-		ds.isCapt[n.Gates[ff].Fanin[0]] = true
+	for id := range n.Gates {
+		ds.obsOff[id+1] += ds.obsOff[id]
+	}
+	ds.obsList = make([]int32, len(ds.obsGates))
+	fill := append([]int32(nil), ds.obsOff[:len(n.Gates)]...)
+	for obs := range ds.obsGates {
+		c := capture(obs)
+		ds.obsList[fill[c]] = int32(obs)
+		fill[c]++
 	}
 	ds.queue = newLevelQueue(n)
 	e.dfs = ds
 }
 
-// diffFast computes the observation-gate difference map for one fault,
-// equivalent to the generic Diff path but allocation-free in the
-// propagation loop.
-func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
+// observers returns the observation indices that capture gate id.
+func (ds *diffState) observers(id int) []int32 {
+	return ds.obsList[ds.obsOff[id]:ds.obsOff[id+1]]
+}
+
+// obsLocal reports whether f sits on the data pin of a flop or the driver
+// branch of a PO: such a fault perturbs only that one observation.
+func (e *Engine) obsLocal(f Fault) bool {
+	if f.Pin == OutputPin {
+		return false
+	}
+	t := e.n.Gates[f.Gate].Type
+	return t == netlist.DFF || t == netlist.Output
+}
+
+// DiffObs simulates a single fault and returns the observation points whose
+// captured value differs on any pattern, with their difference words, in
+// no particular order. It makes no allocations once the engine is warm.
+// The result and its Diff words live in the engine's scratch: they are
+// valid until the next call on this engine.
+func (e *Engine) DiffObs(res *sim.Result, f Fault) []ObsDiff {
+	ds := e.propagate(res, f)
+	words := ds.words
+	ds.diffs = ds.diffs[:0]
+	if e.obsLocal(f) {
+		// The fault is applied at the observation itself; nothing upstream
+		// changed.
+		src := e.n.Gates[f.Gate].Fanin[0]
+		d := ds.scratch(words)
+		any := uint64(0)
+		for w := range d {
+			gv := res.V2[src][w]
+			d[w] = applyTDF(f.Pol, res.V1[src][w], gv) ^ gv
+			any |= d[w]
+		}
+		if any == 0 {
+			return ds.diffs
+		}
+		for _, obs := range ds.observers(src) {
+			if ds.obsGates[obs] == f.Gate {
+				ds.diffs = append(ds.diffs, ObsDiff{Obs: int(obs), Gate: f.Gate, Diff: d})
+			}
+		}
+		return ds.diffs
+	}
+	all := ds.scratch(len(ds.capts) * words)
+	for i, c := range ds.capts {
+		d := all[i*words : (i+1)*words]
+		fv, gv := ds.fval[int(c)*words:(int(c)+1)*words], res.V2[c]
+		for w := range d {
+			d[w] = fv[w] ^ gv[w]
+		}
+		for _, obs := range ds.observers(int(c)) {
+			ds.diffs = append(ds.diffs, ObsDiff{Obs: int(obs), Gate: ds.obsGates[obs], Diff: d})
+		}
+	}
+	return ds.diffs
+}
+
+// scratch returns a reused buffer of n words.
+func (ds *diffState) scratch(n int) []uint64 {
+	if cap(ds.buf) < n {
+		ds.buf = make([]uint64, n)
+	}
+	return ds.buf[:n]
+}
+
+// propagate is the event-driven single-fault kernel: it re-evaluates the
+// fault's fan-out cone in level order, leaving the faulty value of every
+// changed gate in fval (stamped in vstamp) and the changed capture gates in
+// capts. Observation-local faults propagate nothing.
+func (e *Engine) propagate(res *sim.Result, f Fault) *diffState {
 	words := len(res.V2[0])
 	if e.dfs == nil || e.dfs.words != words {
 		e.initDiff(words)
@@ -66,20 +166,12 @@ func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
 	seedIsDFFOut := f.Pin == OutputPin && n.Gates[seed].Type == netlist.DFF
 	ds.queue.reset()
 	ds.capts = ds.capts[:0]
-	// DFF/PO input-pin faults only perturb the observation itself.
-	obsOnly := false
-	if f.Pin != OutputPin {
-		t := n.Gates[f.Gate].Type
-		if t == netlist.DFF || t == netlist.Output {
-			obsOnly = true
-		}
-	}
-	if !obsOnly {
+	if !e.obsLocal(f) {
 		ds.queue.push(int32(seed))
 		ds.pstamp[seed] = st
 	}
 
-	out := make([]uint64, words)
+	out := ds.out
 	for !ds.queue.empty() {
 		id := int(ds.queue.popMin())
 		g := n.Gates[id]
@@ -99,7 +191,7 @@ func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
 			if id == f.Gate && f.Pin != OutputPin {
 				src := g.Fanin[f.Pin]
 				sv := faulty(src)
-				pert := make([]uint64, words)
+				pert := ds.pert
 				for w := 0; w < words; w++ {
 					pert[w] = applyTDF(f.Pol, res.V1[src][w], sv[w])
 				}
@@ -124,7 +216,7 @@ func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
 		}
 		copy(ds.fval[id*words:(id+1)*words], out)
 		ds.vstamp[id] = st
-		if ds.isCapt[id] {
+		if ds.obsOff[id+1] > ds.obsOff[id] {
 			ds.capts = append(ds.capts, int32(id))
 		}
 		for _, s := range g.Fanout {
@@ -138,47 +230,7 @@ func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
 			}
 		}
 	}
-
-	// Fold changed capture sources into observation diffs, applying any
-	// observation-local input-pin fault.
-	obsDiff := make(map[int][]uint64)
-	record := func(obsGate, captureSrc int) {
-		captured := good(captureSrc)
-		if ds.vstamp[captureSrc] == st {
-			captured = ds.fval[captureSrc*words : (captureSrc+1)*words]
-		}
-		var local []uint64
-		if f.Pin != OutputPin && f.Gate == obsGate {
-			local = make([]uint64, words)
-			for w := 0; w < words; w++ {
-				local[w] = applyTDF(f.Pol, res.V1[captureSrc][w], captured[w])
-			}
-			captured = local
-		}
-		gv := good(captureSrc)
-		d := make([]uint64, words)
-		any := uint64(0)
-		for w := 0; w < words; w++ {
-			d[w] = captured[w] ^ gv[w]
-			any |= d[w]
-		}
-		if any != 0 {
-			obsDiff[obsGate] = d
-		}
-	}
-	for _, po := range n.POs {
-		src := n.Gates[po].Fanin[0]
-		if ds.vstamp[src] == st || (f.Pin != OutputPin && f.Gate == po) {
-			record(po, src)
-		}
-	}
-	for _, ff := range n.FFs {
-		src := n.Gates[ff].Fanin[0]
-		if ds.vstamp[src] == st || (f.Pin != OutputPin && f.Gate == ff) {
-			record(ff, src)
-		}
-	}
-	return obsDiff
+	return ds
 }
 
 // evalFastWords evaluates a gate word-wise from per-gate value accessors.

@@ -150,12 +150,23 @@ func (e *Engine) Fork() *Engine {
 // mask of its capture value. An empty map means no pattern detects the
 // fault(s).
 func (e *Engine) Diff(res *sim.Result, faults []Fault) map[int][]uint64 {
-	if len(faults) == 0 {
+	switch len(faults) {
+	case 0:
 		return nil
+	case 1:
+		obs := e.DiffObs(res, faults[0])
+		m := make(map[int][]uint64, len(obs))
+		for _, od := range obs {
+			m[od.Gate] = append([]uint64(nil), od.Diff...)
+		}
+		return m
 	}
-	if len(faults) == 1 {
-		return e.diffFast(res, faults[0])
-	}
+	return e.diffMulti(res, faults)
+}
+
+// diffMulti is Diff for a fault set: the union fan-out cone is re-evaluated
+// with every fault applied at once.
+func (e *Engine) diffMulti(res *sim.Result, faults []Fault) map[int][]uint64 {
 	words := len(res.V2[0])
 	n := e.n
 
@@ -364,21 +375,22 @@ func evalWithInputs(g *netlist.Gate, in map[int][]uint64, words int) []uint64 {
 }
 
 // Detects reports whether the fault is detected by any pattern in the
-// result (bypass observation, no compaction aliasing). For single-word
-// results (at most 64 patterns) an allocation-free event-driven path is
-// used; larger results fall back to the full Diff computation.
+// result (bypass observation, no compaction aliasing). Single-word results
+// (at most 64 patterns) take the early-exit single-word path; larger
+// results run the multi-word kernel behind DiffObs. Neither allocates once
+// the engine is warm.
 func (e *Engine) Detects(res *sim.Result, f Fault) bool {
 	if len(res.V2) > 0 && len(res.V2[0]) == 1 {
 		return e.detectsFast(res, f)
 	}
-	d := e.Diff(res, []Fault{f})
-	for _, mask := range d {
-		if len(mask) == 0 {
-			continue
-		}
-		mask[len(mask)-1] &= sim.TailMask(res.N)
-		for _, w := range mask {
-			if w != 0 {
+	tail := sim.TailMask(res.N)
+	for _, od := range e.DiffObs(res, f) {
+		last := len(od.Diff) - 1
+		for w, d := range od.Diff {
+			if w == last {
+				d &= tail
+			}
+			if d != 0 {
 				return true
 			}
 		}

@@ -285,37 +285,45 @@ func scalarFaulty(n *netlist.Netlist, res *sim.Result, f Fault, k int) map[int]b
 // TestDiffMatchesScalarReference cross-checks the event-driven word-level
 // fault simulator against per-pattern scalar faulty simulation on random
 // sequential circuits.
+// randomCircuit builds a random sequential circuit: 3 PIs, 4 flops and 50
+// random gates, each flop capturing a random non-PI signal (possibly another
+// flop's output), and a PO on the last gate.
+func randomCircuit(rng *rand.Rand) *netlist.Netlist {
+	n := netlist.New("rand")
+	var pool []int
+	for i := 0; i < 3; i++ {
+		pool = append(pool, n.AddGate("", netlist.Input))
+	}
+	var ffs []int
+	for i := 0; i < 4; i++ {
+		id := n.AddGate("", netlist.DFF)
+		ffs = append(ffs, id)
+		pool = append(pool, id)
+	}
+	types := []netlist.GateType{
+		netlist.And, netlist.Or, netlist.Nand, netlist.Nor,
+		netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf,
+	}
+	for i := 0; i < 50; i++ {
+		gt := types[rng.Intn(len(types))]
+		if gt == netlist.Not || gt == netlist.Buf {
+			pool = append(pool, n.AddGate("", gt, pool[rng.Intn(len(pool))]))
+			continue
+		}
+		pool = append(pool, n.AddGate("", gt,
+			pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]))
+	}
+	for _, ff := range ffs {
+		n.Connect(ff, pool[3+rng.Intn(len(pool)-3)])
+	}
+	n.AddGate("", netlist.Output, pool[len(pool)-1])
+	return n
+}
+
 func TestDiffMatchesScalarReference(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := netlist.New("rand")
-		var pool []int
-		for i := 0; i < 3; i++ {
-			pool = append(pool, n.AddGate("", netlist.Input))
-		}
-		var ffs []int
-		for i := 0; i < 4; i++ {
-			id := n.AddGate("", netlist.DFF)
-			ffs = append(ffs, id)
-			pool = append(pool, id)
-		}
-		types := []netlist.GateType{
-			netlist.And, netlist.Or, netlist.Nand, netlist.Nor,
-			netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf,
-		}
-		for i := 0; i < 50; i++ {
-			gt := types[rng.Intn(len(types))]
-			if gt == netlist.Not || gt == netlist.Buf {
-				pool = append(pool, n.AddGate("", gt, pool[rng.Intn(len(pool))]))
-				continue
-			}
-			pool = append(pool, n.AddGate("", gt,
-				pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]))
-		}
-		for _, ff := range ffs {
-			n.Connect(ff, pool[3+rng.Intn(len(pool)-3)])
-		}
-		n.AddGate("", netlist.Output, pool[len(pool)-1])
+		n := randomCircuit(rng)
 		s, err := sim.New(n)
 		if err != nil {
 			return false

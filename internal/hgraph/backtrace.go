@@ -187,7 +187,7 @@ func (g *Graph) subgraph(nodes []int32) *Subgraph {
 			}
 		}
 		gate := n.Gates[g.NodeGate[v]]
-		if gate.IsMIV && g.NodePin[v] == -1 {
+		if gate.IsMIV && g.isOutPin(v) {
 			s.MIVLocal = append(s.MIVLocal, int32(i))
 			s.MIVGates = append(s.MIVGates, gate.ID)
 		}

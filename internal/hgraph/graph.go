@@ -31,9 +31,11 @@ type Graph struct {
 
 	// NumNodes is the circuit-level (pin) node count.
 	NumNodes int
-	// NodeGate and NodePin map node -> (gate, pin); pin -1 is the output.
-	NodeGate []int32
-	NodePin  []int32
+	// NodeGate maps node -> owning gate. NodeDriver maps node -> the gate
+	// whose net the pin carries: the gate itself for an output pin (a PO's
+	// driver for a PO's output pin), the fanin source for an input pin.
+	NodeGate   []int32
+	NodeDriver []int32
 	// OutNode maps gate -> its output-pin node. InNode maps gate -> input
 	// pin nodes in pin order.
 	OutNode []int32
@@ -56,10 +58,9 @@ type Graph struct {
 	MIV      []float64 // 1 if the node is an MIV pin or adjacent to one
 
 	// Topedge aggregates per node.
-	NTop                     []float64 // number of fan-in Topedges
-	DMean, DStd              []float64 // shortest-distance stats
-	MIVMean, MIVStd          []float64 // MIVs-on-path stats
-	sumD, sumD2, sumM, sumM2 []float64
+	NTop            []float64 // number of fan-in Topedges
+	DMean, DStd     []float64 // shortest-distance stats
+	MIVMean, MIVStd []float64 // MIVs-on-path stats
 }
 
 // FeatureDim is the width of the Table-II node feature vector produced by
@@ -97,13 +98,17 @@ func Build(arch *scan.Arch) *Graph {
 	for _, gate := range n.Gates {
 		g.OutNode[gate.ID] = id
 		g.NodeGate = append(g.NodeGate, int32(gate.ID))
-		g.NodePin = append(g.NodePin, -1)
+		driver := gate.ID
+		if gate.Type == netlist.Output {
+			driver = gate.Fanin[0]
+		}
+		g.NodeDriver = append(g.NodeDriver, int32(driver))
 		id++
 		pins := make([]int32, len(gate.Fanin))
-		for p := range gate.Fanin {
+		for p, src := range gate.Fanin {
 			pins[p] = id
 			g.NodeGate = append(g.NodeGate, int32(gate.ID))
-			g.NodePin = append(g.NodePin, int32(p))
+			g.NodeDriver = append(g.NodeDriver, int32(src))
 			id++
 		}
 		g.InNode[gate.ID] = pins
@@ -167,7 +172,7 @@ func (g *Graph) buildStaticFeatures(n *netlist.Netlist) {
 		} else {
 			g.Loc[v] = 0.5 // MIVs sit between tiers
 		}
-		if g.NodePin[v] == -1 {
+		if g.isOutPin(int32(v)) {
 			g.Out[v] = 1
 		}
 		if gate.IsMIV {
@@ -195,10 +200,10 @@ func (g *Graph) buildStaticFeatures(n *netlist.Netlist) {
 func (g *Graph) buildTopedgeStats(n *netlist.Netlist) {
 	N := g.NumNodes
 	g.NTop = make([]float64, N)
-	g.sumD = make([]float64, N)
-	g.sumD2 = make([]float64, N)
-	g.sumM = make([]float64, N)
-	g.sumM2 = make([]float64, N)
+	sumD := make([]float64, N)
+	sumD2 := make([]float64, N)
+	sumM := make([]float64, N)
+	sumM2 := make([]float64, N)
 
 	dist := make([]int32, N)
 	mivs := make([]int32, N)
@@ -223,10 +228,10 @@ func (g *Graph) buildTopedgeStats(n *netlist.Netlist) {
 			g.NTop[v]++
 			d := float64(dist[v])
 			m := float64(mivs[v])
-			g.sumD[v] += d
-			g.sumD2[v] += d * d
-			g.sumM[v] += m
-			g.sumM2[v] += m * m
+			sumD[v] += d
+			sumD2[v] += d * d
+			sumM[v] += m
+			sumM2[v] += m * m
 			for _, u := range g.Fanin[v] {
 				if stamp[u] == st {
 					continue
@@ -250,10 +255,10 @@ func (g *Graph) buildTopedgeStats(n *netlist.Netlist) {
 		if c == 0 {
 			continue
 		}
-		g.DMean[v] = g.sumD[v] / c
-		g.MIVMean[v] = g.sumM[v] / c
-		g.DStd[v] = math.Sqrt(math.Max(0, g.sumD2[v]/c-g.DMean[v]*g.DMean[v]))
-		g.MIVStd[v] = math.Sqrt(math.Max(0, g.sumM2[v]/c-g.MIVMean[v]*g.MIVMean[v]))
+		g.DMean[v] = sumD[v] / c
+		g.MIVMean[v] = sumM[v] / c
+		g.DStd[v] = math.Sqrt(math.Max(0, sumD2[v]/c-g.DMean[v]*g.DMean[v]))
+		g.MIVStd[v] = math.Sqrt(math.Max(0, sumM2[v]/c-g.MIVMean[v]*g.MIVMean[v]))
 	}
 }
 
@@ -263,18 +268,14 @@ func (g *Graph) Arch() *scan.Arch { return g.arch }
 // Netlist returns the underlying design.
 func (g *Graph) Netlist() *netlist.Netlist { return g.arch.Netlist() }
 
-// nodeTransitions reports whether pin node v switches under pattern k: a
-// pin carries the value of its net's driving gate (the gate itself for
-// output pins, the fanin source for input pins).
+// isOutPin reports whether node v is its gate's output pin.
+func (g *Graph) isOutPin(v int32) bool { return g.OutNode[g.NodeGate[v]] == v }
+
+// nodeTransitions reports whether pin node v switches under pattern k,
+// that is whether its driving gate does.
 func (g *Graph) nodeTransitions(res *sim.Result, v int32, k int) bool {
-	gate := g.Netlist().Gates[g.NodeGate[v]]
-	if g.NodePin[v] == -1 {
-		if gate.Type == netlist.Output {
-			return res.HasTransition(gate.Fanin[0], k)
-		}
-		return res.HasTransition(gate.ID, k)
-	}
-	return res.HasTransition(gate.Fanin[g.NodePin[v]], k)
+	d, w := g.NodeDriver[v], k/64
+	return (res.V1[d][w]^res.V2[d][w])>>(k%64)&1 != 0
 }
 
 // staticFeatureRow fills the first 7 and last 4 Table-II columns for node v

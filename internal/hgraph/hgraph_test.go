@@ -334,3 +334,31 @@ func TestBacktraceCtxCancelled(t *testing.T) {
 		t.Fatalf("ctx path %d nodes != plain %d", got.NumNodes(), want.NumNodes())
 	}
 }
+
+// TestNodeTransitionsFollowPins checks the flat driver lookup against the
+// pin semantics it encodes: an output pin switches with its gate (a PO's
+// with the PO's driver), an input pin with the gate on that fanin.
+func TestNodeTransitionsFollowPins(t *testing.T) {
+	f := getFixture(t)
+	n := f.g.Netlist()
+	for _, gate := range n.Gates {
+		out := gate.ID
+		if gate.Type == netlist.Output {
+			out = gate.Fanin[0]
+		}
+		pins := map[int32]int{f.g.OutNode[gate.ID]: out}
+		for p, v := range f.g.InNode[gate.ID] {
+			pins[v] = gate.Fanin[p]
+		}
+		for v, driver := range pins {
+			if f.g.isOutPin(v) != (v == f.g.OutNode[gate.ID]) {
+				t.Fatalf("node %d of gate %d: isOutPin wrong", v, gate.ID)
+			}
+			for k := 0; k < f.res.N; k++ {
+				if f.g.nodeTransitions(f.res, v, k) != f.res.HasTransition(driver, k) {
+					t.Fatalf("node %d of gate %d pattern %d: transition mismatch", v, gate.ID, k)
+				}
+			}
+		}
+	}
+}

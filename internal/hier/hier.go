@@ -250,8 +250,7 @@ func (e *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*diagnos
 	span.End()
 	obs.Add(ctx, "m3d_hier_candidates_total", int64(len(cands)))
 
-	observed := diagnosis.ObservedSet(log)
-	horizon := diagnosis.ScoreHorizon(log)
+	observed := e.diag.NewObserved(log)
 	workers := par.Workers(e.opt.Workers)
 	engines := make([]*diagnosis.Engine, workers)
 	for i := range engines {
@@ -268,7 +267,7 @@ func (e *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*diagnos
 	// slice matches the monolithic serial loop exactly.
 	span = obs.Start(ctx, "hier.score")
 	scoredAll, err := par.MapWorkerCtx(ctx, workers, len(cands), func(w, i int) diagnosis.Candidate {
-		return engines[w].ScoreCandidate(cands[i], observed, log.Compacted, horizon)
+		return engines[w].ScoreCandidate(cands[i], observed)
 	})
 	span.End()
 	if err != nil {
@@ -295,7 +294,7 @@ func (e *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*diagnos
 		branches = append(branches, e.diag.BranchExpansions(c.Fault)...)
 	}
 	branchScored, err := par.MapWorkerCtx(ctx, workers, len(branches), func(w, i int) diagnosis.Candidate {
-		return engines[w].ScoreCandidate(branches[i], observed, log.Compacted, horizon)
+		return engines[w].ScoreCandidate(branches[i], observed)
 	})
 	span.End()
 	if err != nil {

@@ -9,8 +9,9 @@
 #   -b  existing trajectory whose runs are carried forward (default: none)
 #   -o  output file (default: stdout)
 #   -t  go test -benchtime value (default: 2s; use 1x for a CI smoke run)
-#   -g  enforce the PR-6 perf gates (zero allocs on steady-state inference,
-#       >=3x TierInference and >=2x GNNFit vs the trajectory's first run)
+#   -g  enforce the perf gates (zero allocs on steady-state inference and
+#       candidate scoring, >=3x TierInference and >=2x GNNFit vs the
+#       trajectory's first run)
 #
 # The flagship suite (package repro) measures end-to-end pipeline stages;
 # the kernel suites (internal/gnn, internal/mat) measure the flat-CSR and
@@ -43,12 +44,13 @@ args=(-label "$label")
 if [ "$gates" = 1 ]; then
   args+=(
     -require-zero-allocs BenchmarkTierInference
+    -require-zero-allocs BenchmarkScoreCandidate
     -require-speedup BenchmarkTierInference=3.0
     -require-speedup BenchmarkGNNFit=2.0
   )
 fi
 
-flagship='^(BenchmarkTierInference|BenchmarkGNNFit|BenchmarkDiagnoseThroughput|BenchmarkHierDiagnose|BenchmarkDatasetGenerate|BenchmarkBacktrace)$'
+flagship='^(BenchmarkTierInference|BenchmarkGNNFit|BenchmarkDiagnoseThroughput|BenchmarkHierDiagnose|BenchmarkDatasetGenerate|BenchmarkBacktrace|BenchmarkScoreCandidate)$'
 {
   go test -run '^$' -bench "$flagship" -benchmem -benchtime "$benchtime" .
   go test -run '^$' -bench . -benchmem -benchtime "$benchtime" ./internal/gnn ./internal/mat
