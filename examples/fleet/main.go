@@ -52,13 +52,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		bw := bundle
-		if i > 0 {
-			cp := *bundle
-			cp.Diag = bundle.Diag.Fork()
-			bw = &cp
-		}
-		s := serve.New(bw, clone, serve.Config{})
+		s := serve.New(bundle, clone, serve.Config{})
 		s.SetArtifactInfo(serve.ArtifactInfo{Model: "framework", Version: 1, Checksum: "cafe"})
 		servers[i] = httptest.NewServer(s.Handler())
 		defer servers[i].Close()

@@ -63,10 +63,10 @@ type Bundle struct {
 	tierFaults [][]faultsim.Fault
 
 	// Hierarchical diagnosis routing (see HierEngine). Held behind a
-	// pointer so shallow bundle copies (volume's per-worker clones) share
-	// one memoized engine — region partitioning a paper-scale design is
-	// expensive, its result is reused by every diagnosis on the bundle,
-	// and the engine itself is safe for concurrent calls.
+	// pointer so shallow bundle copies share one memoized engine — region
+	// partitioning a paper-scale design is expensive, its result is reused
+	// by every diagnosis on the bundle, and the engine itself is safe for
+	// concurrent calls.
 	hierState *hierState
 }
 

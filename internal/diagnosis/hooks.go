@@ -11,7 +11,8 @@ import (
 // the suspect-vote computation (region-partitioned, parallel) and must
 // reuse every other stage verbatim so that its reports stay
 // bitwise-identical to the monolithic path. Each hook is a thin wrapper
-// over the unexported implementation that DiagnoseCtx itself calls.
+// over the unexported implementation that DiagnoseCtx itself calls. The
+// stages after extraction are one exported call, ReportFromCandidates.
 
 // Sanitize drops fails the engine's pattern set and scan architecture
 // cannot address (see sanitize).
@@ -24,22 +25,6 @@ func (d *Engine) Sanitize(log *failurelog.Log) *failurelog.Log { return d.saniti
 // of failing responses that voted.
 func (d *Engine) CandidatesFromVotes(log *failurelog.Log, count []int32, responses int) []faultsim.Fault {
 	return d.extractCandidates(log, count, responses)
-}
-
-// BranchExpansions expands a net-level candidate into its per-branch
-// input-pin faults (see branchCandidates). Pure: depends only on the
-// netlist structure.
-func (d *Engine) BranchExpansions(c faultsim.Fault) []faultsim.Fault {
-	return d.branchCandidates(c)
-}
-
-// AssembleReport applies the inclusion policy to an already-ranked
-// candidate list and returns the final report, identical to the tail of
-// DiagnoseCtx.
-func (d *Engine) AssembleReport(log *failurelog.Log, scored []Candidate) *Report {
-	rep := &Report{Design: log.Design, Compacted: log.Compacted}
-	d.fillReport(rep, scored)
-	return rep
 }
 
 // CaptureGates returns the deduplicated capture gates behind one failing

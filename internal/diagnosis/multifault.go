@@ -42,7 +42,10 @@ func (d *Engine) DiagnoseMulti(log *failurelog.Log) *Report {
 // context's error. Safe for concurrent use: every call runs on a pooled
 // fork.
 func (d *Engine) DiagnoseMultiCtx(ctx context.Context, log *failurelog.Log) (*Report, error) {
-	w := d.forks.get(d)
+	w, err := d.forks.get(ctx, d)
+	if err != nil {
+		return nil, fmt.Errorf("diagnosis: multi: %w", err)
+	}
 	defer d.forks.put(w)
 	return w.diagnoseMulti(ctx, log)
 }

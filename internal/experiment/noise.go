@@ -72,25 +72,19 @@ func (s *Suite) TableNoise() error {
 }
 
 // diagnoseAndBacktrace runs ATPG diagnosis and subgraph back-tracing for a
-// set of (noisy) failure logs, fanned out over forked engines. GNN
-// inference stays with the caller: model forward passes share backprop
-// caches and are not safe to run concurrently.
+// set of (noisy) failure logs, fanned out over workers that share b.Diag
+// (every diagnosis runs on a pooled fork). GNN inference stays with the
+// caller: model forward passes share backprop caches and are not safe to
+// run concurrently.
 func (s *Suite) diagnoseAndBacktrace(b *dataset.Bundle, logs []*failurelog.Log) ([]*diagnosis.Report, []*hgraph.Subgraph) {
-	workers := par.Workers(s.Workers)
-	engines := make([]*diagnosis.Engine, workers)
-	engines[0] = b.Diag
-	for i := 1; i < workers; i++ {
-		engines[i] = b.Diag.Fork()
-	}
 	type result struct {
 		rep *diagnosis.Report
 		sg  *hgraph.Subgraph
 	}
-	results := par.MapWorker(workers, len(logs), func(w, i int) result {
-		rep := engines[w].Diagnose(logs[i])
+	results := par.Map(s.Workers, len(logs), func(i int) result {
 		return result{
-			rep: rep,
-			sg:  b.Graph.Backtrace(logs[i], engines[w].Result()),
+			rep: b.Diag.Diagnose(logs[i]),
+			sg:  b.Graph.Backtrace(logs[i], b.Diag.Result()),
 		}
 	})
 	reps := make([]*diagnosis.Report, len(logs))

@@ -438,17 +438,13 @@ func (s *Suite) parallelDiagnoseMode(b *dataset.Bundle, samples []dataset.Sample
 	if len(todo) == 0 {
 		return out
 	}
-	workers := par.Workers(s.Workers)
-	engines := make([]*diagnosis.Engine, workers)
-	engines[0] = b.Diag
-	for i := 1; i < workers; i++ {
-		engines[i] = b.Diag.Fork()
-	}
-	reps := par.MapWorker(workers, len(todo), func(w, i int) *diagnosis.Report {
+	// Every diagnosis runs on a fork from the engine's pool, so the
+	// workers share b.Diag.
+	reps := par.Map(s.Workers, len(todo), func(i int) *diagnosis.Report {
 		if multi {
-			return engines[w].DiagnoseMulti(samples[todo[i]].Log)
+			return b.Diag.DiagnoseMulti(samples[todo[i]].Log)
 		}
-		return engines[w].Diagnose(samples[todo[i]].Log)
+		return b.Diag.Diagnose(samples[todo[i]].Log)
 	})
 	for k, i := range todo {
 		out[i] = reps[k]

@@ -7,8 +7,10 @@ package failurelog
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -83,6 +85,63 @@ func (l *Log) FailsByPattern() map[int32][]int32 {
 		m[f.Pattern] = append(m[f.Pattern], f.Obs)
 	}
 	return m
+}
+
+// ObsFails is one observation point's share of a failure log: the patterns
+// it fails on, as bitmasks.
+type ObsFails struct {
+	// Obs is the observation index.
+	Obs int32
+	// Mask stacks one words-wide layer per multiplicity: layer k has a
+	// pattern's bit set when the log lists (pattern, Obs) more than k
+	// times. A log without duplicate fails has one layer, and the bits of
+	// all layers together number the fails at Obs.
+	Mask []uint64
+}
+
+// ByObservation groups the fails by observation point into failing-pattern
+// masks words wide, in ascending observation order. Every pattern index
+// must lie in [0, 64*words): sanitize first.
+func (l *Log) ByObservation(words int) []ObsFails {
+	fails := slices.Clone(l.Fails)
+	slices.SortFunc(fails, func(a, b scan.Failure) int {
+		if a.Obs != b.Obs {
+			return cmp.Compare(a.Obs, b.Obs)
+		}
+		return cmp.Compare(a.Pattern, b.Pattern)
+	})
+	// Sorted, the copies of one (pattern, obs) fail are adjacent: copy k
+	// (dup[i] = k) sets its bit in layer k.
+	dup := make([]int, len(fails))
+	var out []ObsFails
+	var layers []int // per entry of out
+	total := 0
+	for i, f := range fails {
+		if i > 0 && f == fails[i-1] {
+			dup[i] = dup[i-1] + 1
+		}
+		if i == 0 || f.Obs != fails[i-1].Obs {
+			out = append(out, ObsFails{Obs: f.Obs})
+			layers = append(layers, 0)
+		}
+		if k := len(out) - 1; dup[i] == layers[k] {
+			layers[k]++
+			total++
+		}
+	}
+	backing := make([]uint64, total*words)
+	for k := range out {
+		n := layers[k] * words
+		out[k].Mask, backing = backing[:n:n], backing[n:]
+	}
+	k := -1
+	for i, f := range fails {
+		if i == 0 || f.Obs != fails[i-1].Obs {
+			k++
+		}
+		out[k].Mask[dup[i]*words+int(f.Pattern)/64] |= 1 << (uint(f.Pattern) % 64)
+	}
+	return out
 }
 
 // Empty reports whether the log contains no failures (the chip passed).

@@ -2,6 +2,7 @@ package failurelog
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,5 +232,35 @@ func TestSanitizedKeepsMeta(t *testing.T) {
 	out, dropped := l.Sanitized(4, 4)
 	if dropped != 1 || out.Meta != l.Meta {
 		t.Fatalf("Sanitized dropped Meta: %+v (dropped=%d)", out.Meta, dropped)
+	}
+}
+
+func TestByObservation(t *testing.T) {
+	l := &Log{Fails: []scan.Failure{
+		{Pattern: 70, Obs: 3},
+		{Pattern: 0, Obs: 7},
+		{Pattern: 2, Obs: 3},
+		{Pattern: 70, Obs: 3}, // duplicate: second layer
+		{Pattern: 127, Obs: 7},
+		{Pattern: 70, Obs: 3}, // third copy: third layer
+	}}
+	got := l.ByObservation(2)
+	want := []ObsFails{
+		{Obs: 3, Mask: []uint64{1 << 2, 1 << 6, 0, 1 << 6, 0, 1 << 6}},
+		{Obs: 7, Mask: []uint64{1, 1 << 63}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ByObservation = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i].Obs != want[i].Obs || !slices.Equal(got[i].Mask, want[i].Mask) {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if !slices.Equal(l.Fails[:2], []scan.Failure{{Pattern: 70, Obs: 3}, {Pattern: 0, Obs: 7}}) {
+		t.Fatal("ByObservation reordered the log")
+	}
+	if got := (&Log{}).ByObservation(2); len(got) != 0 {
+		t.Fatalf("empty log: %+v", got)
 	}
 }

@@ -67,10 +67,10 @@ func (g *Graph) Backtrace(log *failurelog.Log, res *sim.Result) *Subgraph {
 // node cone stops within microseconds, rare enough to stay off the profile.
 const ctxCheckStride = 4096
 
-// BacktraceCtx is Backtrace with cooperative cancellation: the per-response
-// loop and the inner BFS both check ctx periodically, so a backtrace over a
-// large cone stops promptly when the request deadline expires. On
-// cancellation it returns a nil subgraph and ctx's error.
+// BacktraceCtx is Backtrace with cooperative cancellation: the
+// per-observation loop and the inner BFS both check ctx periodically, so a
+// backtrace over a large cone stops promptly when the request deadline
+// expires. On cancellation it returns a nil subgraph and ctx's error.
 func (g *Graph) BacktraceCtx(ctx context.Context, log *failurelog.Log, res *sim.Result) (*Subgraph, error) {
 	defer obs.Start(ctx, "hgraph.backtrace").End()
 	// Fails outside the simulated pattern set or the observation space
@@ -80,52 +80,63 @@ func (g *Graph) BacktraceCtx(ctx context.Context, log *failurelog.Log, res *sim.
 	if log.Empty() {
 		return &Subgraph{X: mat.New(0, FeatureDim)}, nil
 	}
-	count := make([]int32, g.NumNodes)
-	mark := make([]int32, g.NumNodes)
-	for i := range mark {
-		mark[i] = -1
+	count, err := g.votes(ctx, log, res)
+	if err != nil {
+		return nil, err
 	}
+	return g.SubgraphFromVotes(count, len(log.Fails)), nil
+}
+
+// votes counts, per pin node, the failing responses of a sanitized log in
+// whose fan-in cone the node transitions. The responses of one failing
+// observation share its cone, so the cone is walked once per observation,
+// and a node gets one vote per failing pattern its driving gate switches
+// under, counted word-parallel.
+func (g *Graph) votes(ctx context.Context, log *failurelog.Log, res *sim.Result) ([]int32, error) {
+	count := make([]int32, g.NumNodes)
+	mark := make([]int32, g.NumNodes) // observation stamp: visited
 	var queue []int32
 	visits := 0
-	responses := int32(0)
-	for _, f := range log.Fails {
+	for i, of := range log.ByObservation((res.N + 63) / 64) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("hgraph: backtrace: %w", err)
 		}
-		st := responses
-		responses++
+		st := int32(i + 1)
 		// Topnodes behind this failing observation: the data-pin node of
-		// each failing flop or PO.
-		for _, obsGate := range g.arch.ObsGates(int(f.Obs), log.Compacted) {
-			top := g.InNode[obsGate][0]
-			// BFS over fan-in cone, keeping transitioning nodes.
-			queue = queue[:0]
-			if mark[top] != st {
+		// each failing flop or PO. BFS over their fan-in cones.
+		queue = queue[:0]
+		for _, obsGate := range g.arch.ObsGates(int(of.Obs), log.Compacted) {
+			if top := g.InNode[obsGate][0]; mark[top] != st {
 				mark[top] = st
 				queue = append(queue, top)
 			}
-			for qi := 0; qi < len(queue); qi++ {
-				if visits++; visits%ctxCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, fmt.Errorf("hgraph: backtrace: %w", err)
-					}
+		}
+		for qi := 0; qi < len(queue); qi++ {
+			if visits++; visits%ctxCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, fmt.Errorf("hgraph: backtrace: %w", err)
 				}
-				v := queue[qi]
-				if g.nodeTransitions(res, v, int(f.Pattern)) {
-					count[v]++
-					mark[v] = st // already stamped; keep single vote
-				}
-				for _, u := range g.Fanin[v] {
-					if mark[u] != st {
-						mark[u] = st
-						queue = append(queue, u)
-					}
+			}
+			v := queue[qi]
+			count[v] += int32(res.CountTransitions(int(g.NodeDriver[v]), of.Mask))
+			for _, u := range g.Fanin[v] {
+				if mark[u] != st {
+					mark[u] = st
+					queue = append(queue, u)
 				}
 			}
 		}
 	}
+	return count, nil
+}
 
-	// Intersection with progressive relaxation.
+// SubgraphFromVotes intersects the per-response suspect sets and extracts
+// the induced subgraph (Table-II features): it picks the nodes voted by
+// every one of the responses, relaxing the threshold progressively when
+// none is. It is the final stage of BacktraceCtx, exported so the
+// hierarchical backtrace (internal/hier), which counts the same votes by
+// region-partitioned BFS, produces a bitwise-identical subgraph.
+func (g *Graph) SubgraphFromVotes(count []int32, responses int) *Subgraph {
 	var picked []int32
 	for _, frac := range []float64{1.0, 0.8, 0.5, 0.0} {
 		need := int32(frac * float64(responses))
@@ -141,16 +152,8 @@ func (g *Graph) BacktraceCtx(ctx context.Context, log *failurelog.Log, res *sim.
 			break
 		}
 	}
-	return g.subgraph(picked), nil
+	return g.subgraph(picked)
 }
-
-// SubgraphOf builds the induced subgraph (Table-II features) over the
-// given full-graph node IDs. It is the final stage of BacktraceCtx,
-// exported so the hierarchical backtrace (internal/hier) — which computes
-// the same picked-node set via region-partitioned BFS — can produce a
-// bitwise-identical subgraph. nodes must be in ascending order (the order
-// the relaxation loop emits) for the result to match the monolithic path.
-func (g *Graph) SubgraphOf(nodes []int32) *Subgraph { return g.subgraph(nodes) }
 
 // NodeTransitions reports whether pin node v switches under pattern k
 // (see nodeTransitions), exported for the hierarchical backtrace.

@@ -108,24 +108,7 @@ func (e *Engine) BacktraceCtx(ctx context.Context, log *failurelog.Log) (*hgraph
 		obs.Add(ctx, "m3d_hier_regrown_edges_total", handoffs)
 	}
 
-	// Intersection with progressive relaxation, identical to the
-	// monolithic path: picked nodes emitted in ascending node order.
-	var picked []int32
-	for _, frac := range []float64{1.0, 0.8, 0.5, 0.0} {
-		need := int32(frac * float64(responses))
-		if need < 1 {
-			need = 1
-		}
-		for v := int32(0); v < int32(g.NumNodes); v++ {
-			if s.count[v] >= need {
-				picked = append(picked, v)
-			}
-		}
-		if len(picked) > 0 {
-			break
-		}
-	}
 	e.observeRegions(ctx, s)
 	obs.Add(ctx, "m3d_hier_backtraces_total", 1)
-	return g.SubgraphOf(picked), nil
+	return g.SubgraphFromVotes(s.count, int(responses)), nil
 }

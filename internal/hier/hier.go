@@ -12,8 +12,9 @@
 //     parallel, and edges that cross a region boundary are handed off to
 //     the owning region as the next round's frontier — the cut-edge
 //     re-growth that re-admits candidate fault sites whose cones span
-//     regions. Candidate scoring then fan-outs over forked diagnosis
-//     engines.
+//     regions. The candidate pool then goes through the diagnosis
+//     engine's own scoring stage, which scores in parallel on its pooled
+//     forks.
 //   - Back-tracing runs the same region frontier walk over the pin-level
 //     heterogeneous graph, then extracts one global subgraph for a single
 //     scoring pass through the flat-CSR GNN stack.
@@ -24,11 +25,10 @@
 // extracted candidates, the scored report, and the back-traced subgraph
 // are identical to the monolithic engine's for every worker count and
 // region count. The equivalence is asserted by tests and the CI smoke.
-// What changes is the resource profile: the monolithic engine memoizes
-// whole observation cones per capture point (quadratic-ish memory at
-// 300K gates), while the hierarchical engine recomputes region-local
-// BFS frontiers with O(nodes) scratch, and parallelizes the walk and the
-// scoring.
+// What changes is the traversal: the monolithic engine walks each failing
+// observation's cone once on one goroutine, while the hierarchical engine
+// walks each failing response's cone region by region, in parallel.
+// Whether that wins at paper scale has not been measured.
 package hier
 
 import (
@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/diagnosis"
 	"repro/internal/failurelog"
-	"repro/internal/faultsim"
 	"repro/internal/hgraph"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -50,8 +49,9 @@ import (
 // AutoGateThreshold is the design size (total netlist gates, MIVs
 // included) above which core.DiagnoseCtx routes diagnosis through the
 // hierarchical engine automatically. Bitwise equivalence makes the switch
-// safe at any size; the threshold only reflects where the monolithic
-// cone cache stops being the better trade.
+// safe at any size. The threshold is a guess: neither engine memoizes
+// cones, and the two have not been timed against each other at paper
+// scale.
 const AutoGateThreshold = 50_000
 
 // Options configures a hierarchical engine.
@@ -61,8 +61,10 @@ type Options struct {
 	Regions int
 	// TargetRegionGates sizes auto region selection. Default 24000.
 	TargetRegionGates int
-	// Workers bounds per-log parallelism: region walks and candidate
-	// scoring (0 = all cores). Reports are identical for any value.
+	// Workers bounds the parallelism of the per-log region walks (0 = all
+	// cores). Candidate scoring runs on the diagnosis engine's fork pool,
+	// which bounds itself by GOMAXPROCS. Reports are identical for any
+	// value.
 	Workers int
 	// Partition tunes the region partitioner.
 	Partition partition.RegionOptions
@@ -107,8 +109,8 @@ type Stats struct {
 // Engine is a hierarchical diagnosis engine for one design. It wraps the
 // monolithic diagnosis engine and heterogeneous graph, adding the region
 // partition and the parallel region-walk machinery. Safe for concurrent
-// use: every DiagnoseCtx/BacktraceCtx call draws private scratch and
-// forked scoring engines from internal pools.
+// use: every DiagnoseCtx/BacktraceCtx call draws private walk scratch
+// from internal pools, and scores on the diagnosis engine's pooled forks.
 type Engine struct {
 	diag  *diagnosis.Engine
 	graph *hgraph.Graph
@@ -122,7 +124,6 @@ type Engine struct {
 
 	gateScratch sync.Pool // *walkScratch sized for the gate graph
 	pinScratch  sync.Pool // *walkScratch sized for the pin graph
-	forks       sync.Pool // *diagnosis.Engine forks for parallel scoring
 }
 
 // New partitions the design into regions and builds the engine.
@@ -164,7 +165,6 @@ func New(diag *diagnosis.Engine, graph *hgraph.Graph, opt Options) (*Engine, err
 	}
 	e.gateScratch.New = func() any { return newWalkScratch(len(nl.Gates), k) }
 	e.pinScratch.New = func() any { return newWalkScratch(graph.NumNodes, k) }
-	e.forks.New = func() any { return diag.Fork() }
 	if r := opt.Obs; r != nil {
 		r.Describe("m3d_hier_regions", "Regions the hierarchical engine partitioned the design into.")
 		r.Describe("m3d_hier_cut_edges", "Pin-graph fan-in edges crossing a region boundary.")
@@ -222,19 +222,20 @@ func (s *walkScratch) reset() {
 }
 
 // DiagnoseCtx produces the ranked single-fault diagnosis report for the
-// log, bitwise-identical to the monolithic Engine.DiagnoseCtx.
+// log, bitwise-identical to the monolithic Engine.DiagnoseCtx: the suspect
+// votes come from the region frontier walk, and the candidate pool then
+// goes through the diagnosis engine's own scoring, refinement and ranking.
 func (e *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*diagnosis.Report, error) {
 	defer obs.Start(ctx, "hier.diagnose").End()
-	orig := log
 	log = e.diag.Sanitize(log)
 	if log.Empty() {
-		return e.diag.AssembleReport(orig, nil), nil
+		return &diagnosis.Report{Design: log.Design, Compacted: log.Compacted}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("hier: diagnose: %w", err)
 	}
 
-	// Stage 1: per-response suspect votes via the region frontier walk.
+	// Per-response suspect votes via the region frontier walk.
 	span := obs.Start(ctx, "hier.votes")
 	s := e.gateScratch.Get().(*walkScratch)
 	s.reset()
@@ -250,64 +251,12 @@ func (e *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*diagnos
 	span.End()
 	obs.Add(ctx, "m3d_hier_candidates_total", int64(len(cands)))
 
-	observed := e.diag.NewObserved(log)
-	workers := par.Workers(e.opt.Workers)
-	engines := make([]*diagnosis.Engine, workers)
-	for i := range engines {
-		engines[i] = e.forks.Get().(*diagnosis.Engine)
-	}
-	defer func() {
-		for _, eng := range engines {
-			e.forks.Put(eng)
-		}
-	}()
-
-	// Stage 2: score the candidate pool in parallel on forked engines.
-	// Results are index-ordered, then filtered in order, so the scored
-	// slice matches the monolithic serial loop exactly.
-	span = obs.Start(ctx, "hier.score")
-	scoredAll, err := par.MapWorkerCtx(ctx, workers, len(cands), func(w, i int) diagnosis.Candidate {
-		return engines[w].ScoreCandidate(cands[i], observed)
-	})
-	span.End()
+	rep, err := e.diag.ReportFromCandidates(ctx, log, cands)
 	if err != nil {
 		return nil, fmt.Errorf("hier: diagnose: %w", err)
 	}
-	scored := make([]diagnosis.Candidate, 0, len(scoredAll))
-	for _, c := range scoredAll {
-		if c.TFSF > 0 {
-			scored = append(scored, c)
-		}
-	}
-	diagnosis.RankCandidates(scored)
-
-	// Stage 3: refine the strongest net-level candidates to pin
-	// granularity. The (candidate, branch) pairs are flattened in rank
-	// order so the parallel scores append in the monolithic order.
-	span = obs.Start(ctx, "hier.refine")
-	top := len(scored)
-	if top > diagnosis.RefineTop {
-		top = diagnosis.RefineTop
-	}
-	var branches []faultsim.Fault
-	for _, c := range scored[:top] {
-		branches = append(branches, e.diag.BranchExpansions(c.Fault)...)
-	}
-	branchScored, err := par.MapWorkerCtx(ctx, workers, len(branches), func(w, i int) diagnosis.Candidate {
-		return engines[w].ScoreCandidate(branches[i], observed)
-	})
-	span.End()
-	if err != nil {
-		return nil, fmt.Errorf("hier: diagnose: %w", err)
-	}
-	for _, c := range branchScored {
-		if c.TFSF > 0 {
-			scored = append(scored, c)
-		}
-	}
-	diagnosis.RankCandidates(scored)
 	obs.Add(ctx, "m3d_hier_diagnoses_total", 1)
-	return e.diag.AssembleReport(orig, scored), nil
+	return rep, nil
 }
 
 // gateVotes accumulates per-gate suspect votes: one vote per failing

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/netlist"
@@ -147,6 +148,21 @@ func (r *Result) Trans(gate int) []uint64 {
 // HasTransition reports whether the gate switches under pattern k.
 func (r *Result) HasTransition(gate, k int) bool {
 	return GetBit(r.V1[gate], k) != GetBit(r.V2[gate], k)
+}
+
+// CountTransitions returns how many of the patterns set in mask the gate
+// switches under. mask may stack several signal-wide layers (its length a
+// multiple of the signal's); each layer counts separately.
+func (r *Result) CountTransitions(gate int, mask []uint64) int {
+	v1, v2 := r.V1[gate], r.V2[gate]
+	n := 0
+	for l := 0; l < len(mask); l += len(v1) {
+		m := mask[l : l+len(v1)]
+		for w := range m {
+			n += bits.OnesCount64((v1[w] ^ v2[w]) & m[w])
+		}
+	}
+	return n
 }
 
 // Simulator evaluates a levelized netlist bit-parallel.

@@ -474,24 +474,24 @@ func (m *Manager) runTune(ctx context.Context, req *Request) (Status, int, error
 }
 
 // buildSamples turns labeled failure logs into graph samples by running
-// the ATPG diagnosis + back-trace front end on a forked engine, so tuning
-// never races live traffic on the shared fault-simulation scratch.
+// the ATPG diagnosis + back-trace front end. Every diagnosis runs on a
+// pooled fork of the bundle's engine, so tuning never races live traffic
+// on fault-simulation scratch.
 func (m *Manager) buildSamples(ctx context.Context, in []LabeledLog) ([]gnn.GraphSample, error) {
 	b := m.cfg.Server.Bundle()
 	if b == nil {
 		return nil, errors.New("server has no bundle")
 	}
-	eng := b.Diag.Fork()
 	out := make([]gnn.GraphSample, 0, len(in))
 	for i, s := range in {
 		log, err := failurelog.Read(strings.NewReader(s.Log))
 		if err != nil {
 			return nil, fmt.Errorf("sample %d: parse failure log: %w", i, err)
 		}
-		if _, err := eng.DiagnoseCtx(ctx, log); err != nil {
+		if _, err := b.Diag.DiagnoseCtx(ctx, log); err != nil {
 			return nil, fmt.Errorf("sample %d: diagnose: %w", i, err)
 		}
-		sg, err := b.Graph.BacktraceCtx(ctx, log, eng.Result())
+		sg, err := b.Graph.BacktraceCtx(ctx, log, b.Diag.Result())
 		if err != nil {
 			return nil, fmt.Errorf("sample %d: backtrace: %w", i, err)
 		}

@@ -138,9 +138,9 @@ type Diagnoser interface {
 }
 
 // LocalDiagnoser runs diagnoses in-process through core.DiagnoseCtx.
-// GNN forward passes share scratch buffers and diagnosis engines carry
-// fault-simulation scratch, so one LocalDiagnoser must never be called
-// concurrently; build one per worker with NewLocalDiagnosers.
+// GNN forward passes share scratch buffers, so one LocalDiagnoser must
+// never be called concurrently; build one per worker with
+// NewLocalDiagnosers.
 type LocalDiagnoser struct {
 	FW     *core.Framework
 	Bundle *dataset.Bundle
@@ -170,12 +170,12 @@ func (d *LocalDiagnoser) Diagnose(ctx context.Context, log *failurelog.Log) (*ra
 	return ro, nil
 }
 
-// NewLocalDiagnosers builds one independent in-process diagnoser per
-// worker: every worker gets a forked diagnosis engine (shared immutable
-// simulation state, private scratch) and its own framework replica cloned
-// through a Save/Load round trip — GNN models carry shared forward-pass
-// buffers, so workers may never share one. Every worker uses a clone (the
-// original framework is left untouched), so any worker count produces
+// NewLocalDiagnosers builds one in-process diagnoser per worker. Workers
+// share the bundle: every diagnosis already runs on a fork from the
+// engine's pool. Each gets its own framework replica cloned through a
+// Save/Load round trip — GNN models carry shared forward-pass buffers, so
+// workers may never share one. Every worker uses a clone (the original
+// framework is left untouched), so any worker count produces
 // bitwise-identical per-log results.
 func NewLocalDiagnosers(fw *core.Framework, b *dataset.Bundle, workers int, multi bool) ([]Diagnoser, error) {
 	if workers < 1 {
@@ -191,13 +191,7 @@ func NewLocalDiagnosers(fw *core.Framework, b *dataset.Bundle, workers int, mult
 		if err != nil {
 			return nil, fmt.Errorf("volume: clone framework: %w", err)
 		}
-		bw := b
-		if w > 0 {
-			cp := *b
-			cp.Diag = b.Diag.Fork()
-			bw = &cp
-		}
-		out[w] = &LocalDiagnoser{FW: clone, Bundle: bw, Multi: multi}
+		out[w] = &LocalDiagnoser{FW: clone, Bundle: b, Multi: multi}
 	}
 	return out, nil
 }
