@@ -13,7 +13,6 @@ type detectState struct {
 	pstamp  []int32 // pushed-to-queue stamp
 	stamp   int32
 	queue   *levelQueue
-	isCapt  []bool // gate feeds a flop data pin or a primary output
 	inBuf   []uint64
 	capture bool
 }
@@ -24,20 +23,13 @@ func (e *Engine) initDetect() {
 		fval:   make([]uint64, len(n.Gates)),
 		vstamp: make([]int32, len(n.Gates)),
 		pstamp: make([]int32, len(n.Gates)),
-		isCapt: make([]bool, len(n.Gates)),
 		inBuf:  make([]uint64, 8),
+		queue:  newLevelQueue(e.level),
 	}
 	for i := range ds.vstamp {
 		ds.vstamp[i] = -1
 		ds.pstamp[i] = -1
 	}
-	for _, po := range n.POs {
-		ds.isCapt[n.Gates[po].Fanin[0]] = true
-	}
-	for _, ff := range n.FFs {
-		ds.isCapt[n.Gates[ff].Fanin[0]] = true
-	}
-	ds.queue = newLevelQueue(n)
 	e.ds = ds
 }
 
@@ -109,7 +101,7 @@ func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 		}
 		ds.fval[id] = out
 		ds.vstamp[id] = st
-		if ds.isCapt[id] {
+		if e.capt.captured(id) {
 			return true
 		}
 		for _, s := range g.Fanout {
@@ -118,7 +110,7 @@ func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 				continue
 			}
 			if sg.Type == netlist.DFF {
-				continue // capture boundary; isCapt already covered it
+				continue // capture boundary; captured already covered it
 			}
 			if ds.pstamp[s] != st {
 				ds.pstamp[s] = st

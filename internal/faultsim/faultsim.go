@@ -118,6 +118,8 @@ type Engine struct {
 	n     *netlist.Netlist
 	order []int
 	pos   []int32 // topological position per gate
+	level []int32 // topological level per gate
+	capt  captureIndex
 	ds    *detectState
 	dfs   *diffState
 }
@@ -125,10 +127,14 @@ type Engine struct {
 // NewEngine builds a fault-simulation engine over a simulator.
 func NewEngine(s *sim.Simulator) *Engine {
 	n := s.Netlist()
-	e := &Engine{s: s, n: n, order: n.TopoOrder()}
+	e := &Engine{s: s, n: n, order: n.TopoOrder(), capt: newCaptureIndex(n)}
 	e.pos = make([]int32, len(n.Gates))
 	for i, id := range e.order {
 		e.pos[id] = int32(i)
+	}
+	e.level = make([]int32, len(n.Gates))
+	for _, g := range n.Gates {
+		e.level[g.ID] = g.Level
 	}
 	return e
 }
@@ -137,11 +143,12 @@ func NewEngine(s *sim.Simulator) *Engine {
 func (e *Engine) Netlist() *netlist.Netlist { return e.n }
 
 // Fork returns an engine sharing this engine's immutable state (netlist,
-// simulator, topological order) but with private propagation scratch, so
-// forks can simulate faults concurrently from separate goroutines. The
-// scratch (detect/diff state) is rebuilt lazily on first use.
+// simulator, topological order and levels, capture index) but with private
+// propagation scratch, so forks can simulate faults concurrently from
+// separate goroutines. The scratch (detect/diff state) is rebuilt lazily on
+// first use.
 func (e *Engine) Fork() *Engine {
-	return &Engine{s: e.s, n: e.n, order: e.order, pos: e.pos}
+	return &Engine{s: e.s, n: e.n, order: e.order, pos: e.pos, level: e.level, capt: e.capt}
 }
 
 // Diff simulates the faulty machine for the given fault set against the

@@ -1,29 +1,22 @@
 package faultsim
 
-import "repro/internal/netlist"
-
 // levelQueue pops gates in topological-level order. Because fault effects
 // only travel forward through the DAG, every push lands at a level at or
 // beyond the current pop level, so a bucket per level replaces a heap.
 type levelQueue struct {
-	level   []int32   // per gate
+	level   []int32   // per gate; read-only, shared with the engine's forks
 	buckets [][]int32 // by level
 	touched []int32   // levels with leftover entries (for reset)
 	cur     int
 	count   int
 }
 
-func newLevelQueue(n *netlist.Netlist) *levelQueue {
-	q := &levelQueue{level: make([]int32, len(n.Gates))}
+func newLevelQueue(level []int32) *levelQueue {
 	maxLvl := int32(0)
-	for _, g := range n.Gates {
-		q.level[g.ID] = g.Level
-		if g.Level > maxLvl {
-			maxLvl = g.Level
-		}
+	for _, l := range level {
+		maxLvl = max(maxLvl, l)
 	}
-	q.buckets = make([][]int32, maxLvl+1)
-	return q
+	return &levelQueue{level: level, buckets: make([][]int32, maxLvl+1)}
 }
 
 // reset clears any entries left by an early-exited previous traversal.
