@@ -1,19 +1,19 @@
 // Command benchjson converts `go test -bench` output into the repository's
-// BENCH_*.json performance-trajectory format and optionally enforces
+// performance-trajectory format (BENCH.json) and optionally enforces
 // performance gates on it.
 //
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson \
-//	    -label pr6 -baseline BENCH_5.json -out BENCH_6.json \
+//	    -label mylabel -baseline BENCH.json -out BENCH.json \
 //	    -require-zero-allocs BenchmarkTierInference \
 //	    -require-speedup BenchmarkTierInference=3.0
 //
 // The tool reads benchmark result lines from stdin (other lines — goos,
 // pkg, PASS — are used for run metadata or ignored), merges them with an
 // optional baseline file's entries, and writes a single JSON document. Each
-// tracked PR appends one labeled run, so the checked-in BENCH_*.json files
-// form a trajectory the CI can diff and gate on.
+// tracked change appends one labeled run, so the checked-in BENCH.json is a
+// trajectory the CI can diff and gate on.
 //
 // Exit status is non-zero when a -require-zero-allocs or -require-speedup
 // gate fails, making the tool usable directly as a CI check.
@@ -49,7 +49,7 @@ type Run struct {
 	Results []Result `json:"results"`
 }
 
-// Trajectory is the top-level BENCH_*.json document.
+// Trajectory is the top-level BENCH.json document.
 type Trajectory struct {
 	Runs []Run `json:"runs"`
 }
@@ -57,7 +57,7 @@ type Trajectory struct {
 func main() {
 	var (
 		label      = flag.String("label", "run", "label for this run in the trajectory")
-		baseline   = flag.String("baseline", "", "existing BENCH_*.json whose runs are carried forward")
+		baseline   = flag.String("baseline", "", "existing trajectory (BENCH.json) whose runs are carried forward")
 		out        = flag.String("out", "", "output file (default stdout)")
 		zeroAllocs multiFlag
 		speedups   multiFlag

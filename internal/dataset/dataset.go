@@ -485,7 +485,8 @@ func tierLabel(n *netlist.Netlist, faults []faultsim.Fault) int {
 // (bundle, seed): the scan starts at a splitmix-derived index into the
 // fault pool and wraps until a detected gate (non-MIV) fault is found, so
 // different seeds plant different defect mechanisms. ok=false when no
-// fault in the pool is detected (a degenerate pattern set).
+// fault in the pool is detected (a degenerate pattern set). Safe for
+// concurrent use: detection runs on the diagnosis engine's pooled forks.
 func (b *Bundle) PickSystematicFault(seed int64) (faultsim.Fault, bool) {
 	if len(b.faults) == 0 {
 		return faultsim.Fault{}, false
@@ -496,7 +497,7 @@ func (b *Bundle) PickSystematicFault(seed int64) (faultsim.Fault, bool) {
 		if b.Netlist.Gates[f.SiteGate(b.Netlist)].IsMIV {
 			continue
 		}
-		if b.Diag.FaultSim().Detects(b.Diag.Result(), f) {
+		if b.Diag.Detects(f) {
 			return f, true
 		}
 	}

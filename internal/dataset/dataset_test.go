@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/failurelog"
@@ -23,6 +24,50 @@ func tinyBundle(t *testing.T, cfg ConfigName) *Bundle {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestPickSystematicFaultConcurrent picks systematic faults from one
+// bundle on several goroutines at once. Each pick's fault simulation runs
+// on a pooled engine fork, so the picks equal the serial ones and the race
+// detector finds no shared scratch.
+func TestPickSystematicFaultConcurrent(t *testing.T) {
+	p, _ := gen.ProfileByName("aes")
+	b, err := Build(p.Scaled(0.15), Syn1, BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pick struct {
+		f  faultsim.Fault
+		ok bool
+	}
+	const goroutines, calls = 4, 20
+	want := make([]pick, calls)
+	for i := range want {
+		f, ok := b.PickSystematicFault(int64(i))
+		want[i] = pick{f, ok}
+	}
+	got := make([][]pick, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]pick, calls)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range got[g] {
+				i := (k + 5*g) % calls
+				f, ok := b.PickSystematicFault(int64(i))
+				got[g][i] = pick{f, ok}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for i, p := range got[g] {
+			if p != want[i] {
+				t.Errorf("goroutine %d seed %d: picked %+v, serial %+v", g, i, p, want[i])
+			}
+		}
+	}
 }
 
 func TestBuildConfigs(t *testing.T) {

@@ -7,9 +7,10 @@
 //     response through the fan-in cones of the failing observation points
 //     and keeping sites that transition under the failing patterns
 //     (critical-path tracing style candidate extraction);
-//  2. fault-simulates each candidate, in parallel on pooled engine forks,
-//     and scores it by how well its predicted failures match the tester's
-//     (TFSF/TFSP/TPSF counts);
+//  2. fault-simulates the candidates, one propagation per fanout-free
+//     region stem shared by all candidates inside that region, in parallel
+//     on pooled engine forks, and scores each by how well its predicted
+//     failures match the tester's (TFSF/TFSP/TPSF counts);
 //  3. emits a ranked report whose quality is measured the same way the
 //     paper measures commercial reports: diagnostic resolution (report
 //     length), accuracy (ground truth present), and first-hit index.
@@ -22,6 +23,7 @@ package diagnosis
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/failurelog"
@@ -142,10 +144,16 @@ type Engine struct {
 	// forks to a call's parallel scoring. Shared by forks.
 	forks *forkPool
 
-	// Fork-private EDT fold scratch for ScoreCandidate.
+	// Fork-private scoring scratch. A stem group's lanes and EDT fold:
+	lanes   []uint64 // [words]: union of the members' lanes, then each member's
 	fold    []uint64 // [obs*words+w]: XOR of the cell diffs behind obs
-	folded  []bool   // obs has a partial fold in this call
+	folded  []bool   // obs has a partial fold in this group
 	touched []int32  // folded observations, in first-touch order
+	// A scoring stage's stem groups, on the call's own fork:
+	keys    []int64 // stem<<32 | candidate index, sorted
+	members []int32 // candidate indices, grouped by stem
+	bounds  []int32 // group g is members[bounds[g]:bounds[g+1]]
+	props   []bool  // by group: the group propagated its stem
 }
 
 // NewEngine runs the good-machine simulation.
@@ -202,9 +210,14 @@ func (d *Engine) Result() *sim.Result { return d.res }
 // Arch exposes the scan architecture.
 func (d *Engine) Arch() *scan.Arch { return d.arch }
 
-// FaultSim exposes the fault-simulation engine (shared with data
-// generation and the GNN framework).
-func (d *Engine) FaultSim() *faultsim.Engine { return d.fsim }
+// Detects reports whether the engine's pattern set detects fault f (see
+// faultsim.Engine.Detects). Safe for concurrent use: it runs on a pooled
+// fork.
+func (d *Engine) Detects(f faultsim.Fault) bool {
+	w, _ := d.forks.get(context.Background(), d) // fails only when ctx ends
+	defer d.forks.put(w)
+	return w.fsim.Detects(w.res, f)
+}
 
 // suspects computes the per-response suspect counts: for every failing
 // (pattern, obs) response, each gate in the fan-in cone of the failing
@@ -374,12 +387,12 @@ func (d *Engine) Diagnose(log *failurelog.Log) *Report {
 }
 
 // DiagnoseCtx is Diagnose with cooperative cancellation: the context is
-// checked before every candidate fault simulation (the dominant per-log
-// cost), so a diagnosis whose deadline expires returns within one
-// fault-simulation of the cancellation instead of scoring the remaining
-// pool. On cancellation it returns a nil report and the context's error.
-// Safe for concurrent use: extraction reads only immutable state, and
-// scoring runs on pooled forks.
+// checked before every stem group's fault simulation (the dominant per-log
+// cost), so a diagnosis whose deadline expires returns within one group of
+// the cancellation instead of scoring the remaining pool. On cancellation
+// it returns a nil report and the context's error. Safe for concurrent
+// use: extraction reads only immutable state, and scoring runs on pooled
+// forks.
 func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report, error) {
 	log = d.sanitize(log)
 	if log.Empty() {
@@ -420,12 +433,13 @@ func (d *Engine) report(ctx context.Context, log *failurelog.Log, cands []faults
 
 	// Stage 1: score net-level candidates.
 	span := obs.Start(ctx, "diagnosis.score")
-	scored, err := d.scoreAll(ctx, cands, observed, nil)
+	scored, props, err := d.scoreAll(ctx, cands, observed, nil)
 	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("diagnosis: %w", err)
 	}
 	obs.Add(ctx, "m3d_diag_candidates_scored_total", int64(len(cands)))
+	obs.Add(ctx, "m3d_diag_propagations_total", int64(props))
 	RankCandidates(scored)
 	// Stage 2: refine the strongest net-level candidates to pin
 	// granularity (branch faults dodge reconvergent aliasing). The branch
@@ -435,39 +449,80 @@ func (d *Engine) report(ctx context.Context, log *failurelog.Log, cands []faults
 	for _, c := range scored[:min(len(scored), RefineTop)] {
 		branches = append(branches, d.branchCandidates(c.Fault)...)
 	}
-	scored, err = d.scoreAll(ctx, branches, observed, scored)
+	scored, props, err = d.scoreAll(ctx, branches, observed, scored)
 	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("diagnosis: %w", err)
 	}
+	obs.Add(ctx, "m3d_diag_propagations_total", int64(props))
 	RankCandidates(scored)
 	rep := &Report{Design: log.Design, Compacted: log.Compacted}
 	d.fillReport(rep, scored)
 	return rep, nil
 }
 
-// scoreAll scores cands on d plus the helper forks it can borrow, one
-// worker each, returns the helpers, and appends the candidates that explain
-// at least one failure to dst in candidate order. The context is checked
-// before every candidate.
-func (d *Engine) scoreAll(ctx context.Context, cands []faultsim.Fault, o *Observed, dst []Candidate) ([]Candidate, error) {
+// scoreAll scores cands one stem group at a time (see scoreGroup) on d
+// plus the helper forks it can borrow, one worker each, returns the
+// helpers, and appends the candidates that explain at least one failure to
+// dst in candidate order. It also returns how many stems it propagated.
+// The context is checked before every group.
+func (d *Engine) scoreAll(ctx context.Context, cands []faultsim.Fault, o *Observed, dst []Candidate) ([]Candidate, int, error) {
+	members, bounds := d.groupByStem(cands)
+	groups := len(bounds) - 1
+	d.props = slices.Grow(d.props[:0], groups)[:groups]
+	scored, propagated := make([]Candidate, len(cands)), d.props
 	helpers := d.forks.borrow(d)
 	defer d.forks.giveBack(helpers)
-	all, err := par.MapWorkerCtx(ctx, 1+len(helpers), len(cands), func(w, i int) Candidate {
+	err := par.ForEachWorkerCtx(ctx, 1+len(helpers), groups, func(w, g int) {
+		e := d
 		if w > 0 {
-			return helpers[w-1].ScoreCandidate(cands[i], o)
+			e = helpers[w-1]
 		}
-		return d.ScoreCandidate(cands[i], o)
+		propagated[g] = e.scoreGroup(cands, members[bounds[g]:bounds[g+1]], o, scored)
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	for _, c := range all {
+	for _, c := range scored {
 		if c.TFSF > 0 {
 			dst = append(dst, c)
 		}
 	}
-	return dst, nil
+	props := 0
+	for _, p := range propagated {
+		if p {
+			props++
+		}
+	}
+	return dst, props, nil
+}
+
+// groupByStem groups the candidate indices by the stem of their fault's
+// fanout-free region, returning the indices and the group bounds in them
+// (group g is members[bounds[g]:bounds[g+1]], in candidate order). An
+// observation-local candidate is a group of its own. It reuses d's
+// scratch.
+func (d *Engine) groupByStem(cands []faultsim.Fault) (members, bounds []int32) {
+	gates := len(d.arch.Netlist().Gates)
+	keys := d.keys[:0]
+	for i, f := range cands {
+		stem := d.fsim.Stem(f)
+		if stem < 0 {
+			stem = gates + i
+		}
+		keys = append(keys, int64(stem)<<32|int64(i))
+	}
+	slices.Sort(keys)
+	members, bounds = d.members[:0], d.bounds[:0]
+	for k, key := range keys {
+		if k == 0 || key>>32 != keys[k-1]>>32 {
+			bounds = append(bounds, int32(k))
+		}
+		members = append(members, int32(key))
+	}
+	bounds = append(bounds, int32(len(keys)))
+	d.keys, d.members, d.bounds = keys, members, bounds
+	return members, bounds
 }
 
 // RefineTop is how many of the strongest net-level candidates stage 2
@@ -520,26 +575,4 @@ func (d *Engine) fillReport(rep *Report, scored []Candidate) {
 		}
 		rep.Candidates = append(rep.Candidates, c)
 	}
-}
-
-// ExtractStats exposes candidate-extraction internals for tooling and
-// calibration.
-type ExtractStats struct {
-	Extracted int
-	AllScores []float64
-}
-
-// DebugExtract reports how many candidates extraction produced for a log
-// and their full score distribution (including TFSF==0 candidates).
-func (d *Engine) DebugExtract(log *failurelog.Log) ExtractStats {
-	log = d.sanitize(log)
-	count, responses := d.suspects(log)
-	cands := d.extractCandidates(log, count, responses)
-	observed := d.NewObserved(log)
-	st := ExtractStats{Extracted: len(cands)}
-	for _, cand := range cands {
-		c := d.ScoreCandidate(cand, observed)
-		st.AllScores = append(st.AllScores, c.Score)
-	}
-	return st
 }

@@ -59,40 +59,93 @@ func (o *Observed) mask(obs int32) []uint64 {
 	return o.masks[int(obs)*o.words : int(obs+1)*o.words]
 }
 
-// tally adds one observation point's predicted failures to the counts:
-// predicted and observed is a TFSF, predicted but not observed a TPSF.
-func (o *Observed) tally(c *Candidate, pred []uint64, obs int32) {
+// tally adds one observation point's predicted failures on the given
+// pattern lanes to the counts: predicted and observed is a TFSF, predicted
+// but not observed a TPSF.
+func (o *Observed) tally(c *Candidate, pred, lanes []uint64, obs int32) {
 	seen := o.mask(obs)
 	for w, valid := range o.valid {
-		p := pred[w] & valid
+		p := pred[w] & lanes[w] & valid
 		c.TFSF += bits.OnesCount64(p & seen[w])
 		c.TPSF += bits.OnesCount64(p &^ seen[w])
 	}
 }
 
 // ScoreCandidate fault-simulates one candidate and compares its predicted
-// failures with the observed log. Under EDT compaction the predicted cell
-// differences are XOR-folded per compacted observation first, so an even
-// number of flipped cells aliases to a pass exactly as on the tester. It
-// makes no allocations once the engine is warm, and is safe for concurrent
-// use on forked engines sharing one Observed.
+// failures with the observed log: the scoring stage's group of one. Under
+// EDT compaction the predicted cell differences are XOR-folded per
+// compacted observation first, so an even number of flipped cells aliases
+// to a pass exactly as on the tester. It makes no allocations once the
+// engine is warm, and is safe for concurrent use on forked engines sharing
+// one Observed.
 func (d *Engine) ScoreCandidate(cand faultsim.Fault, o *Observed) Candidate {
-	c := Candidate{Fault: cand}
-	diffs := d.fsim.DiffObs(d.res, cand)
-	if !o.compacted {
-		for _, od := range diffs {
-			o.tally(&c, od.Diff, d.obsIndex[0][od.Obs])
+	cands, members := [1]faultsim.Fault{cand}, [1]int32{0}
+	var out [1]Candidate
+	d.scoreGroup(cands[:], members[:], o, out[:])
+	return out[0]
+}
+
+// scoreGroup scores the candidates cands[i], i in members, into out[i].
+// The members share one stem, or are a single observation-local candidate.
+// The stem is propagated once, flipped on the union of the members' lanes,
+// and each member is tallied against that one diff masked to the lanes on
+// which it flips the stem: patterns are independent lanes, so that is the
+// member's own diff. Under EDT the diff is folded once, since
+// fold(D) & lanes = fold(D & lanes). It reports whether it propagated.
+func (d *Engine) scoreGroup(cands []faultsim.Fault, members []int32, o *Observed, out []Candidate) bool {
+	words := d.ps.Words()
+	if need := (len(members) + 1) * words; cap(d.lanes) < need {
+		d.lanes = make([]uint64, need)
+	}
+	union := d.lanes[:words]
+	clear(union)
+	lanes := func(k int) []uint64 { return d.lanes[(k+1)*words : (k+2)*words] }
+	stem, flipped := -1, uint64(0)
+	for k, i := range members {
+		l := lanes(k)
+		if stem = d.fsim.StemFlip(d.res, cands[i], l); stem < 0 {
+			for w := range l {
+				l[w] = ^uint64(0) // an observation-local diff needs no mask
+			}
 		}
-	} else {
+		for w, v := range l {
+			union[w] |= v
+			flipped |= v
+		}
+	}
+	var diffs []faultsim.ObsDiff
+	propagated := stem >= 0 && flipped != 0
+	switch {
+	case stem < 0:
+		diffs = d.fsim.DiffObs(d.res, cands[members[0]])
+	case propagated:
+		diffs = d.fsim.DiffStem(d.res, stem, union)
+	}
+	if o.compacted {
 		d.foldEDT(diffs, o.words)
+	}
+	for k, i := range members {
+		c := Candidate{Fault: cands[i]}
+		l := lanes(k)
+		if !o.compacted {
+			for _, od := range diffs {
+				o.tally(&c, od.Diff, l, d.obsIndex[0][od.Obs])
+			}
+		} else {
+			for _, obs := range d.touched {
+				o.tally(&c, d.fold[int(obs)*o.words:int(obs+1)*o.words], l, obs)
+			}
+		}
+		c.TFSP = o.fails - c.TFSF
+		c.Score = float64(c.TFSF) - d.opt.TFSPWeight*float64(c.TFSP) - d.opt.TPSFWeight*float64(c.TPSF)
+		out[i] = c
+	}
+	if o.compacted {
 		for _, obs := range d.touched {
-			o.tally(&c, d.fold[int(obs)*o.words:int(obs+1)*o.words], obs)
 			d.folded[obs] = false
 		}
 	}
-	c.TFSP = o.fails - c.TFSF
-	c.Score = float64(c.TFSF) - d.opt.TFSPWeight*float64(c.TFSP) - d.opt.TPSFWeight*float64(c.TPSF)
-	return c
+	return propagated
 }
 
 // foldEDT XORs the first words of every observation diff into the

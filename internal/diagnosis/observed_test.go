@@ -1,8 +1,10 @@
 package diagnosis
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/failurelog"
@@ -83,14 +85,23 @@ func scoringCorpus(t *testing.T, fx *fixture, compacted bool) map[string]*failur
 
 // TestScoreCandidateMatchesMapScorer checks that bit-parallel scoring
 // reproduces the map-keyed scorer's integer counts for every extracted
-// candidate and every branch expansion, uncompacted and under EDT.
+// candidate and every branch expansion, uncompacted and under EDT: one
+// candidate at a time, and through the grouped scoring stage, which
+// scores each list one stem group at a time and keeps, in candidate order,
+// the candidates that explain a failure.
 func TestScoreCandidateMatchesMapScorer(t *testing.T) {
 	fx := getFixture(t, 0.1, 1)
 	if fx.eng.ps.Words() < 2 {
 		t.Fatalf("fixture has %d patterns; need more than one word", fx.eng.ps.N)
 	}
+	ctx := context.Background()
+	w, err := fx.eng.forks.get(ctx, fx.eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fx.eng.forks.put(w)
 	for _, compacted := range []bool{false, true} {
-		scored, truncated := 0, 0
+		scored, truncated, shared := 0, 0, 0
 		for name, log := range scoringCorpus(t, fx, compacted) {
 			clean := fx.eng.sanitize(log)
 			if clean.Empty() {
@@ -101,22 +112,38 @@ func TestScoreCandidateMatchesMapScorer(t *testing.T) {
 			}
 			count, responses := fx.eng.suspects(clean)
 			cands := fx.eng.extractCandidates(clean, count, responses)
+			var branches []faultsim.Fault
 			for _, c := range cands {
-				cands = append(cands, fx.eng.branchCandidates(c)...)
+				branches = append(branches, fx.eng.branchCandidates(c)...)
 			}
 			o := fx.eng.NewObserved(log)
-			for _, c := range cands {
-				got, want := fx.eng.ScoreCandidate(c, o), scoreMap(fx.eng, c, log)
-				if got != want {
-					t.Fatalf("compacted=%v log %s candidate %v: got %+v want %+v", compacted, name, c, got, want)
+			for stage, list := range [][]faultsim.Fault{cands, branches} {
+				var want []Candidate
+				for _, c := range list {
+					got, ref := fx.eng.ScoreCandidate(c, o), scoreMap(fx.eng, c, log)
+					if got != ref {
+						t.Fatalf("compacted=%v log %s candidate %v: got %+v want %+v", compacted, name, c, got, ref)
+					}
+					if ref.TFSF > 0 {
+						want = append(want, ref)
+					}
+					scored++
 				}
-				scored++
+				got, _, err := w.scoreAll(ctx, list, o, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("compacted=%v log %s stage %d: grouped stage %+v, map scorer %+v", compacted, name, stage+1, got, want)
+				}
+				_, bounds := w.groupByStem(list)
+				shared += len(list) - (len(bounds) - 1)
 			}
 		}
-		if scored == 0 || truncated == 0 {
-			t.Fatalf("compacted=%v: %d candidates, %d truncated logs; corpus too weak", compacted, scored, truncated)
+		if scored == 0 || truncated == 0 || shared == 0 {
+			t.Fatalf("compacted=%v: %d candidates, %d truncated logs, %d sharing a stem group; corpus too weak", compacted, scored, truncated, shared)
 		}
-		t.Logf("compacted=%v: %d candidates identical", compacted, scored)
+		t.Logf("compacted=%v: %d candidates identical, %d sharing a stem group", compacted, scored, shared)
 	}
 }
 

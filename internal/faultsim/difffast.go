@@ -1,6 +1,8 @@
 package faultsim
 
 import (
+	"slices"
+
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -23,8 +25,8 @@ type ObsDiff struct {
 type diffState struct {
 	words int
 	// The faulty value of a changed gate is arena[slot:slot+words] where
-	// vstamp matches. The arena is reset for each fault, so it holds only
-	// the fault's changed cone, not every gate.
+	// vstamp matches. The arena is reset for each propagation, so it holds
+	// only the stem's changed cone, not every gate.
 	slot   []int32
 	arena  []uint64
 	vstamp []int32
@@ -33,12 +35,19 @@ type diffState struct {
 	queue  *levelQueue
 	capts  []int32  // changed capture gates collected during propagation
 	out    []uint64 // evaluated gate value
+	prev   []uint64 // faulty value of the previous gate on a StemFlip chain
 	pert   []uint64 // faulty value of a perturbed input pin
-	buf    []uint64 // diff words handed out by DiffObs
+	flip   []uint64 // DiffObs: the lanes on which the fault flips its stem
+	buf    []uint64 // diff words handed out by DiffObs and DiffStem
 	diffs  []ObsDiff
 }
 
-func (e *Engine) initDiff(words int) {
+// diffScratch returns the engine's diff scratch for results of the given
+// word width, building it on first use.
+func (e *Engine) diffScratch(words int) *diffState {
+	if e.dfs != nil && e.dfs.words == words {
+		return e.dfs
+	}
 	n := e.n
 	ds := &diffState{
 		words:  words,
@@ -46,7 +55,9 @@ func (e *Engine) initDiff(words int) {
 		vstamp: make([]int32, len(n.Gates)),
 		pstamp: make([]int32, len(n.Gates)),
 		out:    make([]uint64, words),
+		prev:   make([]uint64, words),
 		pert:   make([]uint64, words),
+		flip:   make([]uint64, words),
 		queue:  newLevelQueue(e.level),
 	}
 	for i := range ds.vstamp {
@@ -54,6 +65,7 @@ func (e *Engine) initDiff(words int) {
 		ds.pstamp[i] = -1
 	}
 	e.dfs = ds
+	return ds
 }
 
 // captureIndex is a per-gate CSR of the observation points that capture a
@@ -105,34 +117,47 @@ func (e *Engine) obsLocal(f Fault) bool {
 
 // DiffObs simulates a single fault and returns the observation points whose
 // captured value differs on any pattern, with their difference words, in
-// no particular order. It makes no allocations once the engine is warm.
-// The result and its Diff words live in the engine's scratch: they are
-// valid until the next call on this engine.
+// no particular order. A fault on a flop data pin or PO driver branch
+// changes only that observation; any other fault is StemFlip followed by
+// DiffStem. It makes no allocations once the engine is warm. The result and
+// its Diff words live in the engine's scratch: they are valid until the
+// next call on this engine.
 func (e *Engine) DiffObs(res *sim.Result, f Fault) []ObsDiff {
-	ds := e.propagate(res, f)
-	words := ds.words
+	ds := e.diffScratch(len(res.V2[0]))
+	if !e.obsLocal(f) {
+		return e.DiffStem(res, e.StemFlip(res, f, ds.flip), ds.flip)
+	}
+	// The fault is applied at the observation itself; nothing upstream
+	// changed.
 	ds.diffs = ds.diffs[:0]
-	if e.obsLocal(f) {
-		// The fault is applied at the observation itself; nothing upstream
-		// changed.
-		src := e.n.Gates[f.Gate].Fanin[0]
-		d := ds.scratch(words)
-		any := uint64(0)
-		for w := range d {
-			gv := res.V2[src][w]
-			d[w] = applyTDF(f.Pol, res.V1[src][w], gv) ^ gv
-			any |= d[w]
-		}
-		if any == 0 {
-			return ds.diffs
-		}
-		for _, obs := range e.capt.observers(src) {
-			if e.capt.gates[obs] == f.Gate {
-				ds.diffs = append(ds.diffs, ObsDiff{Obs: int(obs), Gate: f.Gate, Diff: d})
-			}
-		}
+	src := e.n.Gates[f.Gate].Fanin[0]
+	d := ds.scratch(ds.words)
+	any := uint64(0)
+	for w := range d {
+		gv := res.V2[src][w]
+		d[w] = applyTDF(f.Pol, res.V1[src][w], gv) ^ gv
+		any |= d[w]
+	}
+	if any == 0 {
 		return ds.diffs
 	}
+	for _, obs := range e.capt.observers(src) {
+		if e.capt.gates[obs] == f.Gate {
+			ds.diffs = append(ds.diffs, ObsDiff{Obs: int(obs), Gate: f.Gate, Diff: d})
+		}
+	}
+	return ds.diffs
+}
+
+// DiffStem propagates the stem's good value XOR flip through its fan-out
+// cone and returns the observation points whose captured value differs,
+// with their difference words, in no particular order. Like DiffObs it
+// makes no allocations once the engine is warm, and its result is valid
+// until the next call on this engine.
+func (e *Engine) DiffStem(res *sim.Result, stem int, flip []uint64) []ObsDiff {
+	ds := e.propagate(res, stem, flip)
+	words := ds.words
+	ds.diffs = ds.diffs[:0]
 	all := ds.scratch(len(ds.capts) * words)
 	for i, c := range ds.capts {
 		d := all[i*words : (i+1)*words]
@@ -147,7 +172,8 @@ func (e *Engine) DiffObs(res *sim.Result, f Fault) []ObsDiff {
 	return ds.diffs
 }
 
-// faulty returns the faulty value of a gate the current fault changed.
+// faulty returns the faulty value of a gate the current propagation
+// changed.
 func (ds *diffState) faulty(id int) []uint64 {
 	o := int(ds.slot[id])
 	return ds.arena[o : o+ds.words]
@@ -161,100 +187,60 @@ func (ds *diffState) scratch(n int) []uint64 {
 	return ds.buf[:n]
 }
 
-// propagate is the event-driven single-fault kernel: it re-evaluates the
-// fault's fan-out cone in level order, leaving the faulty value of every
-// changed gate in the arena (stamped in vstamp) and the changed capture
-// gates in capts. Observation-local faults propagate nothing.
-func (e *Engine) propagate(res *sim.Result, f Fault) *diffState {
-	words := len(res.V2[0])
-	if e.dfs == nil || e.dfs.words != words {
-		e.initDiff(words)
-	}
-	ds := e.dfs
+// propagate is the event-driven cone kernel: it seeds the stem with its
+// good value XOR flip and re-evaluates the stem's fan-out cone in level
+// order, leaving the faulty value of every changed gate in the arena
+// (stamped in vstamp) and the changed capture gates in capts. Propagation
+// stops at POs and flop data pins, where the tester observes it.
+func (e *Engine) propagate(res *sim.Result, stem int, flip []uint64) *diffState {
+	ds := e.diffScratch(len(res.V2[0]))
+	words := ds.words
 	ds.stamp++
 	st := ds.stamp
 	ds.arena = ds.arena[:0]
+	ds.queue.reset()
+	ds.capts = ds.capts[:0]
 	n := e.n
 
-	good := func(id int) []uint64 { return res.V2[id] }
 	faulty := func(id int) []uint64 {
 		if ds.vstamp[id] == st {
 			return ds.faulty(id)
 		}
-		return good(id)
-	}
-
-	seed := f.Gate
-	seedIsDFFOut := f.Pin == OutputPin && n.Gates[seed].Type == netlist.DFF
-	ds.queue.reset()
-	ds.capts = ds.capts[:0]
-	if !e.obsLocal(f) {
-		ds.queue.push(int32(seed))
-		ds.pstamp[seed] = st
+		return res.V2[id]
 	}
 
 	out := ds.out
-	for !ds.queue.empty() {
-		id := int(ds.queue.popMin())
-		g := n.Gates[id]
-		switch {
-		case g.Type == netlist.DFF:
-			if !(id == seed && seedIsDFFOut) {
-				continue
-			}
-			gv := good(id)
-			for w := 0; w < words; w++ {
-				out[w] = applyTDF(f.Pol, res.V1[id][w], gv[w])
-			}
-		case g.Type == netlist.Output || g.Type == netlist.Input:
-			continue
-		default:
-			evalFastWords(g, faulty, words, out)
-			if id == f.Gate && f.Pin != OutputPin {
-				src := g.Fanin[f.Pin]
-				sv := faulty(src)
-				pert := ds.pert
-				for w := 0; w < words; w++ {
-					pert[w] = applyTDF(f.Pol, res.V1[src][w], sv[w])
-				}
-				evalFastWordsOverride(g, faulty, f.Pin, pert, words, out)
-			}
-			if id == f.Gate && f.Pin == OutputPin {
-				for w := 0; w < words; w++ {
-					out[w] = applyTDF(f.Pol, res.V1[id][w], out[w])
-				}
-			}
-		}
-		gv := good(id)
-		diff := false
-		for w := 0; w < words; w++ {
-			if out[w] != gv[w] {
-				diff = true
-				break
-			}
-		}
-		if !diff {
-			continue
-		}
-		// Values read from the arena are dead by now, so growing it is safe.
-		ds.slot[id] = int32(len(ds.arena))
-		ds.arena = append(ds.arena, out...)
-		ds.vstamp[id] = st
-		if e.capt.captured(id) {
-			ds.capts = append(ds.capts, int32(id))
-		}
-		for _, s := range g.Fanout {
-			sg := n.Gates[s]
-			if sg.Type == netlist.Output || sg.Type == netlist.DFF {
-				continue
-			}
-			if ds.pstamp[s] != st {
-				ds.pstamp[s] = st
-				ds.queue.push(int32(s))
-			}
-		}
+	gv := res.V2[stem]
+	for w := 0; w < words; w++ {
+		out[w] = gv[w] ^ flip[w]
 	}
-	return ds
+	for id := stem; ; {
+		if !slices.Equal(out, res.V2[id]) {
+			// Values read from the arena are dead by now, so growing it is
+			// safe.
+			ds.slot[id] = int32(len(ds.arena))
+			ds.arena = append(ds.arena, out...)
+			ds.vstamp[id] = st
+			if e.capt.captured(id) {
+				ds.capts = append(ds.capts, int32(id))
+			}
+			for _, s := range n.Gates[id].Fanout {
+				sg := n.Gates[s]
+				if sg.Type == netlist.Output || sg.Type == netlist.DFF {
+					continue
+				}
+				if ds.pstamp[s] != st {
+					ds.pstamp[s] = st
+					ds.queue.push(int32(s))
+				}
+			}
+		}
+		if ds.queue.empty() {
+			return ds
+		}
+		id = int(ds.queue.popMin())
+		evalFastWords(n.Gates[id], faulty, words, out)
+	}
 }
 
 // evalFastWords evaluates a gate word-wise from per-gate value accessors.

@@ -119,6 +119,7 @@ type Engine struct {
 	order []int
 	pos   []int32 // topological position per gate
 	level []int32 // topological level per gate
+	stems []int32 // fanout-free region stem per gate
 	capt  captureIndex
 	ds    *detectState
 	dfs   *diffState
@@ -136,6 +137,7 @@ func NewEngine(s *sim.Simulator) *Engine {
 	for _, g := range n.Gates {
 		e.level[g.ID] = g.Level
 	}
+	e.stems = newStems(n, e.order, e.capt)
 	return e
 }
 
@@ -143,12 +145,12 @@ func NewEngine(s *sim.Simulator) *Engine {
 func (e *Engine) Netlist() *netlist.Netlist { return e.n }
 
 // Fork returns an engine sharing this engine's immutable state (netlist,
-// simulator, topological order and levels, capture index) but with private
-// propagation scratch, so forks can simulate faults concurrently from
-// separate goroutines. The scratch (detect/diff state) is rebuilt lazily on
-// first use.
+// simulator, topological order and levels, region stems, capture index) but
+// with private propagation scratch, so forks can simulate faults
+// concurrently from separate goroutines. The scratch (detect/diff state) is
+// rebuilt lazily on first use.
 func (e *Engine) Fork() *Engine {
-	return &Engine{s: e.s, n: e.n, order: e.order, pos: e.pos, level: e.level, capt: e.capt}
+	return &Engine{s: e.s, n: e.n, order: e.order, pos: e.pos, level: e.level, stems: e.stems, capt: e.capt}
 }
 
 // Diff simulates the faulty machine for the given fault set against the

@@ -1,7 +1,7 @@
 package gnn
 
 // Micro-benchmarks for the SpMM kernels and the arena-backed forward pass.
-// Together with the top-level suite benches these feed the BENCH_*.json
+// Together with the top-level suite benches these feed the BENCH.json
 // performance trajectory (scripts/bench_json.sh).
 
 import (

@@ -3,7 +3,7 @@ package mat
 // Micro-benchmarks for the dense kernels on GNN-hot-path shapes
 // (256-node subgraph, 32-wide hidden layers). The *Materialized variants
 // measure what the seed code did — explicit transposes and temporaries —
-// so the BENCH_*.json trajectory shows the kernel-level win directly.
+// so the BENCH.json trajectory shows the kernel-level win directly.
 
 import (
 	"math/rand"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_json.sh — run the flagship and kernel benchmarks and append the
-# results as one labeled run to a BENCH_*.json performance trajectory.
+# results as one labeled run to the BENCH.json performance trajectory.
 #
 # Usage:
 #   scripts/bench_json.sh [-l label] [-b baseline.json] [-o out.json] [-t benchtime] [-g]
