@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/diagnosis"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/hgraph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/policy"
 )
 
@@ -204,7 +206,7 @@ func (fw *Framework) PolicyFor(b *dataset.Bundle) *policy.Policy {
 }
 
 // Diagnose runs the full deployment flow of Fig. 1 for one failure log:
-// ATPG diagnosis and GNN prediction (conceptually in parallel), then the
+// ATPG diagnosis and GNN back-tracing, which run concurrently, then the
 // candidate pruning and reordering policy.
 func (fw *Framework) Diagnose(b *dataset.Bundle, log *failurelog.Log) (*diagnosis.Report, *policy.Outcome) {
 	rep, out, _ := fw.DiagnoseCtx(context.Background(), b, log)
@@ -224,7 +226,8 @@ func (fw *Framework) DiagnoseCtx(ctx context.Context, b *dataset.Bundle, log *fa
 // DiagnoseFullCtx is DiagnoseCtx, additionally returning the back-traced
 // subgraph the policy ran on. Shadow evaluation (the fine-tuning service's
 // A/B window) re-applies a second policy to the same report and subgraph,
-// so both must escape the call.
+// so both must escape the call. The back-trace runs alongside the ATPG
+// diagnosis (see alongside).
 func (fw *Framework) DiagnoseFullCtx(ctx context.Context, b *dataset.Bundle, log *failurelog.Log) (*diagnosis.Report, *hgraph.Subgraph, *policy.Outcome, error) {
 	defer obs.Start(ctx, "core.diagnose").End()
 	// Paper-scale designs (or bundles with hier forced on) route both heavy
@@ -237,19 +240,12 @@ func (fw *Framework) DiagnoseFullCtx(ctx context.Context, b *dataset.Bundle, log
 	var rep *diagnosis.Report
 	var sg *hgraph.Subgraph
 	if he != nil {
-		if rep, err = he.DiagnoseCtx(ctx, log); err != nil {
-			return nil, nil, nil, err
-		}
-		if sg, err = he.BacktraceCtx(ctx, log); err != nil {
-			return nil, nil, nil, err
-		}
+		rep, sg, err = alongside(ctx, log, he.BacktraceCtx, he.DiagnoseCtx)
 	} else {
-		if rep, err = b.Diag.DiagnoseCtx(ctx, log); err != nil {
-			return nil, nil, nil, err
-		}
-		if sg, err = b.Graph.BacktraceCtx(ctx, log, b.Diag.Result()); err != nil {
-			return nil, nil, nil, err
-		}
+		rep, sg, err = alongside(ctx, log, backtracer(b), b.Diag.DiagnoseCtx)
+	}
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, fmt.Errorf("core: diagnose: %w", err)
@@ -262,16 +258,12 @@ func (fw *Framework) DiagnoseFullCtx(ctx context.Context, b *dataset.Bundle, log
 
 // DiagnoseMultiCtx is DiagnoseCtx for failure logs that may contain several
 // simultaneous same-tier defects (Section VII-A): the ATPG stage uses the
-// relaxed multi-fault extraction and greedy set cover. Multi-fault
-// diagnosis always runs the monolithic path — its set-cover extraction has
-// no hierarchical counterpart.
+// relaxed multi-fault extraction and greedy set cover, alongside the same
+// back-trace. Multi-fault diagnosis always runs the monolithic path — its
+// set-cover extraction has no hierarchical counterpart.
 func (fw *Framework) DiagnoseMultiCtx(ctx context.Context, b *dataset.Bundle, log *failurelog.Log) (*diagnosis.Report, *policy.Outcome, error) {
 	defer obs.Start(ctx, "core.diagnose_multi").End()
-	rep, err := b.Diag.DiagnoseMultiCtx(ctx, log)
-	if err != nil {
-		return nil, nil, err
-	}
-	sg, err := b.Graph.BacktraceCtx(ctx, log, b.Diag.Result())
+	rep, sg, err := alongside(ctx, log, backtracer(b), b.Diag.DiagnoseMultiCtx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -282,6 +274,69 @@ func (fw *Framework) DiagnoseMultiCtx(ctx context.Context, b *dataset.Bundle, lo
 	out := fw.PolicyFor(b).ApplyCtx(ctx, rep, sg)
 	span.End()
 	return rep, out, nil
+}
+
+// backtracer returns the monolithic back-trace of the bundle's graph over
+// its good-machine simulation.
+func backtracer(b *dataset.Bundle) func(context.Context, *failurelog.Log) (*hgraph.Subgraph, error) {
+	return func(ctx context.Context, log *failurelog.Log) (*hgraph.Subgraph, error) {
+		return b.Graph.BacktraceCtx(ctx, log, b.Diag.Result())
+	}
+}
+
+// alongside runs a log's back-trace and its ATPG diagnosis concurrently,
+// as Fig. 1 draws them, and returns once both have returned. The
+// back-trace reads only immutable state (the graph, the good-machine
+// result and the log), so it needs no engine fork. It is one goroutine
+// beyond the diagnosis fork pool's GOMAXPROCS budget but adds no CPU
+// work: it takes a core the pool leaves idle when one chip runs at a
+// time, and shares cores when calls saturate them.
+//
+// Both stages run under a context derived from ctx, which is cancelled
+// when either fails or panics, so the other stops early. alongside
+// returns the first error, and a panic in either stage is raised again on
+// the caller's goroutine once both have returned (par.ForEachWorker), so a
+// recover there still isolates it and no goroutine outlives the call.
+func alongside(ctx context.Context, log *failurelog.Log,
+	backtrace func(context.Context, *failurelog.Log) (*hgraph.Subgraph, error),
+	diagnose func(context.Context, *failurelog.Log) (*diagnosis.Report, error),
+) (*diagnosis.Report, *hgraph.Subgraph, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// One allocation for everything the two stages share.
+	r := &struct {
+		rep   *diagnosis.Report
+		sg    *hgraph.Subgraph
+		mu    sync.Mutex
+		first error
+	}{}
+	par.ForEachWorker(2, 2, func(_, i int) {
+		failed := true // until the stage returns without an error
+		defer func() {
+			if failed {
+				cancel()
+			}
+		}()
+		var err error
+		if i == 0 {
+			r.sg, err = backtrace(ctx, log)
+		} else {
+			r.rep, err = diagnose(ctx, log)
+		}
+		if err != nil {
+			r.mu.Lock()
+			if r.first == nil {
+				r.first = err
+			}
+			r.mu.Unlock()
+			return
+		}
+		failed = false
+	})
+	if r.first != nil {
+		return nil, nil, r.first
+	}
+	return r.rep, r.sg, nil
 }
 
 // frameworkJSON is the serialized framework.

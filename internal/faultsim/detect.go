@@ -8,13 +8,10 @@ import (
 // detectState holds reusable buffers for the single-word event-driven
 // detection fast path, avoiding per-call allocation in the ATPG inner loop.
 type detectState struct {
-	fval    []uint64 // faulty value per gate (valid when vstamp matches)
-	vstamp  []int32
-	pstamp  []int32 // pushed-to-queue stamp
-	stamp   int32
-	queue   *levelQueue
-	inBuf   []uint64
-	capture bool
+	fval   []uint64 // faulty value per gate (valid when vstamp matches)
+	vstamp []int32
+	stamp  int32
+	queue  posQueue
 }
 
 func (e *Engine) initDetect() {
@@ -22,20 +19,18 @@ func (e *Engine) initDetect() {
 	ds := &detectState{
 		fval:   make([]uint64, len(n.Gates)),
 		vstamp: make([]int32, len(n.Gates)),
-		pstamp: make([]int32, len(n.Gates)),
-		inBuf:  make([]uint64, 8),
-		queue:  newLevelQueue(e.level),
+		queue:  newPosQueue(len(n.Gates)),
 	}
 	for i := range ds.vstamp {
 		ds.vstamp[i] = -1
-		ds.pstamp[i] = -1
 	}
 	e.ds = ds
 }
 
 // detectsFast is the allocation-free single-word event-driven detection
 // path used by ATPG's fault-dropping loop (pattern batches of at most 64).
-// It returns true as soon as any observation capture gate flips.
+// It returns true as soon as any observation capture gate flips, clearing
+// the events it leaves queued.
 func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 	if e.ds == nil {
 		e.initDetect()
@@ -67,13 +62,12 @@ func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 
 	// Seed: the gate whose evaluation the fault perturbs.
 	seed := f.Gate
-	ds.queue.reset()
-	ds.queue.push(int32(seed))
-	ds.pstamp[seed] = st
+	ds.queue.start(e.pos[seed])
+	ds.queue.push(e.pos[seed])
 	seedIsDFFOut := f.Pin == OutputPin && n.Gates[seed].Type == netlist.DFF
 
-	for !ds.queue.empty() {
-		id := int(ds.queue.popMin())
+	for p := ds.queue.pop(); p >= 0; p = ds.queue.pop() {
+		id := e.order[p]
 		g := n.Gates[id]
 		var out uint64
 		switch {
@@ -85,12 +79,12 @@ func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 		case g.Type == netlist.Output:
 			continue
 		default:
-			out = evalFast(g, faulty, ds.inBuf)
+			out = evalFast(g, faulty)
 			if id == f.Gate && f.Pin != OutputPin {
 				// Re-evaluate with the perturbed branch.
 				src := g.Fanin[f.Pin]
 				pert := applyTDF(f.Pol, res.V1[src][0], faulty(src))
-				out = evalFastOverride(g, faulty, f.Pin, pert, ds.inBuf)
+				out = evalFastOverride(g, faulty, f.Pin, pert)
 			}
 			if id == f.Gate && f.Pin == OutputPin {
 				out = applyTDF(f.Pol, res.V1[id][0], out)
@@ -102,27 +96,20 @@ func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 		ds.fval[id] = out
 		ds.vstamp[id] = st
 		if e.capt.captured(id) {
+			ds.queue.clear()
 			return true
 		}
-		for _, s := range g.Fanout {
-			sg := n.Gates[s]
-			if sg.Type == netlist.Output {
-				continue
-			}
-			if sg.Type == netlist.DFF {
-				continue // capture boundary; captured already covered it
-			}
-			if ds.pstamp[s] != st {
-				ds.pstamp[s] = st
-				ds.queue.push(int32(s))
-			}
+		// Propagating sinks exclude POs and flops: the capture boundary,
+		// which captured already covered.
+		for _, s := range e.flat.propagating(int32(id)) {
+			ds.queue.push(s)
 		}
 	}
 	return false
 }
 
 // evalFast evaluates a gate on single-word values supplied by val.
-func evalFast(g *netlist.Gate, val func(int) uint64, buf []uint64) uint64 {
+func evalFast(g *netlist.Gate, val func(int) uint64) uint64 {
 	switch g.Type {
 	case netlist.Buf:
 		return val(g.Fanin[0])
@@ -163,7 +150,7 @@ func evalFast(g *netlist.Gate, val func(int) uint64, buf []uint64) uint64 {
 }
 
 // evalFastOverride is evalFast with one input pin overridden.
-func evalFastOverride(g *netlist.Gate, val func(int) uint64, pin int, pv uint64, buf []uint64) uint64 {
+func evalFastOverride(g *netlist.Gate, val func(int) uint64, pin int, pv uint64) uint64 {
 	in := func(p int) uint64 {
 		if p == pin {
 			return pv

@@ -30,11 +30,10 @@ type diffState struct {
 	slot   []int32
 	arena  []uint64
 	vstamp []int32
-	pstamp []int32
 	stamp  int32
-	queue  *levelQueue
+	queue  posQueue
 	capts  []int32  // changed capture gates collected during propagation
-	out    []uint64 // evaluated gate value
+	out    []uint64 // StemFlip: value of the current gate on the chain
 	prev   []uint64 // faulty value of the previous gate on a StemFlip chain
 	pert   []uint64 // faulty value of a perturbed input pin
 	flip   []uint64 // DiffObs: the lanes on which the fault flips its stem
@@ -53,16 +52,14 @@ func (e *Engine) diffScratch(words int) *diffState {
 		words:  words,
 		slot:   make([]int32, len(n.Gates)),
 		vstamp: make([]int32, len(n.Gates)),
-		pstamp: make([]int32, len(n.Gates)),
 		out:    make([]uint64, words),
 		prev:   make([]uint64, words),
 		pert:   make([]uint64, words),
 		flip:   make([]uint64, words),
-		queue:  newLevelQueue(e.level),
+		queue:  newPosQueue(len(n.Gates)),
 	}
 	for i := range ds.vstamp {
 		ds.vstamp[i] = -1
-		ds.pstamp[i] = -1
 	}
 	e.dfs = ds
 	return ds
@@ -188,59 +185,123 @@ func (ds *diffState) scratch(n int) []uint64 {
 }
 
 // propagate is the event-driven cone kernel: it seeds the stem with its
-// good value XOR flip and re-evaluates the stem's fan-out cone in level
-// order, leaving the faulty value of every changed gate in the arena
-// (stamped in vstamp) and the changed capture gates in capts. Propagation
-// stops at POs and flop data pins, where the tester observes it.
+// good value XOR flip and re-evaluates the stem's fan-out cone in
+// topological order (see posQueue), leaving the faulty value of every
+// changed gate in the arena (stamped in vstamp) and the changed capture
+// gates in capts. Propagation stops at POs and flop data pins, where the
+// tester observes it. It reads no *netlist.Gate, only the flat netlist,
+// the topological order and the flat good values, and evaluates each gate
+// straight into a fresh arena slot, which it keeps only if the gate
+// changed.
 func (e *Engine) propagate(res *sim.Result, stem int, flip []uint64) *diffState {
 	ds := e.diffScratch(len(res.V2[0]))
 	words := ds.words
 	ds.stamp++
-	st := ds.stamp
 	ds.arena = ds.arena[:0]
-	ds.queue.reset()
 	ds.capts = ds.capts[:0]
-	n := e.n
+	fl, good := e.flat, res.FlatV2()
 
-	faulty := func(id int) []uint64 {
-		if ds.vstamp[id] == st {
-			return ds.faulty(id)
-		}
-		return res.V2[id]
-	}
-
-	out := ds.out
-	gv := res.V2[stem]
-	for w := 0; w < words; w++ {
+	out := ds.grow()
+	gv := good[stem*words : (stem+1)*words]
+	changed := uint64(0)
+	for w := range out {
 		out[w] = gv[w] ^ flip[w]
+		changed |= flip[w]
 	}
-	for id := stem; ; {
-		if !slices.Equal(out, res.V2[id]) {
-			// Values read from the arena are dead by now, so growing it is
-			// safe.
-			ds.slot[id] = int32(len(ds.arena))
-			ds.arena = append(ds.arena, out...)
-			ds.vstamp[id] = st
-			if e.capt.captured(id) {
-				ds.capts = append(ds.capts, int32(id))
+	ds.queue.start(e.pos[stem])
+	for id := int32(stem); ; {
+		if changed != 0 {
+			ds.slot[id] = int32(len(ds.arena) - words)
+			ds.vstamp[id] = ds.stamp
+			if e.capt.captured(int(id)) {
+				ds.capts = append(ds.capts, id)
 			}
-			for _, s := range n.Gates[id].Fanout {
-				sg := n.Gates[s]
-				if sg.Type == netlist.Output || sg.Type == netlist.DFF {
-					continue
-				}
-				if ds.pstamp[s] != st {
-					ds.pstamp[s] = st
-					ds.queue.push(int32(s))
-				}
+			for _, p := range fl.propagating(id) {
+				ds.queue.push(p)
 			}
+		} else {
+			ds.arena = ds.arena[:len(ds.arena)-words]
 		}
-		if ds.queue.empty() {
+		p := ds.queue.pop()
+		if p < 0 {
 			return ds
 		}
-		id = int(ds.queue.popMin())
-		evalFastWords(n.Gates[id], faulty, words, out)
+		id = int32(e.order[p])
+		changed = ds.eval(fl, good, id, ds.grow())
 	}
+}
+
+// grow appends one value slot to the arena and returns it. Arena values
+// are read by offset, never through a slice held across a grow, so
+// reallocating the arena is safe.
+func (ds *diffState) grow() []uint64 {
+	o := len(ds.arena)
+	ds.arena = slices.Grow(ds.arena, ds.words)[:o+ds.words]
+	return ds.arena[o:]
+}
+
+// val returns gate id's value in the current propagation: the faulty value
+// if the propagation changed it, else its good value.
+func (ds *diffState) val(good []uint64, id int32) []uint64 {
+	o, src := int(id)*ds.words, good
+	if ds.vstamp[id] == ds.stamp {
+		o, src = int(ds.slot[id]), ds.arena
+	}
+	return src[o : o+ds.words]
+}
+
+// eval evaluates combinational gate id on its drivers' current values into
+// out and returns a nonzero word when out differs from the gate's good
+// value.
+func (ds *diffState) eval(fl *flatNetlist, good []uint64, id int32, out []uint64) uint64 {
+	fin := fl.drivers(id)
+	acc, inv := out, uint64(0)
+	switch fl.kind[id] {
+	case netlist.Buf, netlist.Not:
+		acc = ds.val(good, fin[0])
+	case netlist.And, netlist.Nand:
+		copy(out, ds.val(good, fin[0]))
+		for _, f := range fin[1:] {
+			src := ds.val(good, f)[:len(out)]
+			for w := range out {
+				out[w] &= src[w]
+			}
+		}
+	case netlist.Or, netlist.Nor:
+		copy(out, ds.val(good, fin[0]))
+		for _, f := range fin[1:] {
+			src := ds.val(good, f)[:len(out)]
+			for w := range out {
+				out[w] |= src[w]
+			}
+		}
+	case netlist.Xor, netlist.Xnor:
+		copy(out, ds.val(good, fin[0]))
+		for _, f := range fin[1:] {
+			src := ds.val(good, f)[:len(out)]
+			for w := range out {
+				out[w] ^= src[w]
+			}
+		}
+	case netlist.Mux:
+		sel, a, b := ds.val(good, fin[0])[:len(out)], ds.val(good, fin[1])[:len(out)], ds.val(good, fin[2])[:len(out)]
+		for w := range out {
+			out[w] = (sel[w] & b[w]) | (^sel[w] & a[w])
+		}
+	}
+	switch fl.kind[id] {
+	case netlist.Not, netlist.Nand, netlist.Nor, netlist.Xnor:
+		inv = ^uint64(0)
+	}
+	gv := good[int(id)*len(out) : (int(id)+1)*len(out)]
+	acc = acc[:len(out)]
+	changed := uint64(0)
+	for w := range out {
+		v := acc[w] ^ inv
+		out[w] = v
+		changed |= v ^ gv[w]
+	}
+	return changed
 }
 
 // evalFastWords evaluates a gate word-wise from per-gate value accessors.

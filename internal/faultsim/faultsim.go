@@ -118,7 +118,7 @@ type Engine struct {
 	n     *netlist.Netlist
 	order []int
 	pos   []int32 // topological position per gate
-	level []int32 // topological level per gate
+	flat  *flatNetlist
 	stems []int32 // fanout-free region stem per gate
 	capt  captureIndex
 	ds    *detectState
@@ -133,11 +133,8 @@ func NewEngine(s *sim.Simulator) *Engine {
 	for i, id := range e.order {
 		e.pos[id] = int32(i)
 	}
-	e.level = make([]int32, len(n.Gates))
-	for _, g := range n.Gates {
-		e.level[g.ID] = g.Level
-	}
-	e.stems = newStems(n, e.order, e.capt)
+	e.flat = newFlat(n, e.pos)
+	e.stems = e.newStems()
 	return e
 }
 
@@ -145,12 +142,12 @@ func NewEngine(s *sim.Simulator) *Engine {
 func (e *Engine) Netlist() *netlist.Netlist { return e.n }
 
 // Fork returns an engine sharing this engine's immutable state (netlist,
-// simulator, topological order and levels, region stems, capture index) but
-// with private propagation scratch, so forks can simulate faults
+// simulator, topological order, flat netlist, region stems, capture index)
+// but with private propagation scratch, so forks can simulate faults
 // concurrently from separate goroutines. The scratch (detect/diff state) is
 // rebuilt lazily on first use.
 func (e *Engine) Fork() *Engine {
-	return &Engine{s: e.s, n: e.n, order: e.order, pos: e.pos, level: e.level, stems: e.stems, capt: e.capt}
+	return &Engine{s: e.s, n: e.n, order: e.order, pos: e.pos, flat: e.flat, stems: e.stems, capt: e.capt}
 }
 
 // Diff simulates the faulty machine for the given fault set against the

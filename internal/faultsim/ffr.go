@@ -18,16 +18,17 @@ import (
 // newStems maps every gate to the stem of its fanout-free region. A gate is
 // its own stem when a PO or flop data pin captures it, when no gate
 // propagates its value, or when more than one gate does; otherwise its stem
-// is the stem of its one propagating sink. One reverse-topological pass.
-func newStems(n *netlist.Netlist, order []int, capt captureIndex) []int32 {
-	stems := make([]int32, len(n.Gates))
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
+// is the stem of its one propagating sink. One reverse-topological pass
+// over e.order, after e.flat and e.capt are built.
+func (e *Engine) newStems() []int32 {
+	stems := make([]int32, len(e.n.Gates))
+	for i := len(e.order) - 1; i >= 0; i-- {
+		id := e.order[i]
 		stems[id] = int32(id)
-		if capt.captured(id) {
+		if e.capt.captured(id) {
 			continue
 		}
-		if s := propagatingSink(n, id); s >= 0 {
+		if s := e.propagatingSink(id); s >= 0 {
 			stems[id] = stems[s]
 		}
 	}
@@ -35,21 +36,14 @@ func newStems(n *netlist.Netlist, order []int, capt captureIndex) []int32 {
 }
 
 // propagatingSink returns the one gate that propagates id's value within
-// the capture frame, or -1 when none or more than one does. POs and flops
-// capture a value rather than propagate it, and a sink fed on several pins
-// counts once.
-func propagatingSink(n *netlist.Netlist, id int) int {
-	sink := -1
-	for _, s := range n.Gates[id].Fanout {
-		switch t := n.Gates[s].Type; {
-		case t == netlist.Output || t == netlist.DFF:
-		case sink < 0:
-			sink = s
-		case sink != s:
-			return -1
-		}
+// the capture frame, or -1 when none or more than one does (the flat
+// netlist's propagating sinks: POs and flops capture a value rather than
+// propagate it, and a sink fed on several pins counts once).
+func (e *Engine) propagatingSink(id int) int {
+	if s := e.flat.propagating(int32(id)); len(s) == 1 {
+		return e.order[s[0]]
 	}
-	return sink
+	return -1
 }
 
 // Stem returns the stem of the fanout-free region fault f sits in, or -1
@@ -102,7 +96,7 @@ func (e *Engine) StemFlip(res *sim.Result, f Fault, dst []uint64) int {
 	stem := int(e.stems[id])
 	for id != stem && !slices.Equal(cur, res.V2[id]) {
 		prev, pv := id, cur
-		id = propagatingSink(n, id)
+		id = e.propagatingSink(id)
 		evalFastWords(n.Gates[id], func(x int) []uint64 {
 			if x == prev {
 				return pv

@@ -194,7 +194,7 @@ func (g *Graph) subgraph(nodes []int32) *Subgraph {
 			s.MIVLocal = append(s.MIVLocal, int32(i))
 			s.MIVGates = append(s.MIVGates, gate.ID)
 		}
-		s.TierOf[i] = g.Loc[v]
+		s.TierOf[i] = g.loc(gate)
 	}
 	for i, v := range nodes {
 		row := s.X.Row(i)

@@ -50,12 +50,11 @@ type Graph struct {
 	TopFF []int32
 	TopPO []int32
 
-	// Per-node static features.
-	NFi, NFo []float64 // circuit fan-in/fan-out degrees
-	Lvl      []float64 // topological level of the owning gate
-	Loc      []float64 // tier (0 bottom, 1 top; MIV nodes carry 0.5)
-	Out      []float64 // 1 for output-pin nodes
-	MIV      []float64 // 1 if the node is an MIV pin or adjacent to one
+	// maxTier normalizes the tier feature to [0,1] across however many
+	// tiers the design has (the paper's two-tier case keeps 0/1 exactly).
+	// The other per-node static features follow from the pin adjacency
+	// and the netlist (see staticFeatureRow).
+	maxTier int8
 
 	// Topedge aggregates per node.
 	NTop            []float64 // number of fan-in Topedges
@@ -141,58 +140,12 @@ func Build(arch *scan.Arch) *Graph {
 		g.TopPO = append(g.TopPO, g.InNode[po][0])
 	}
 
-	g.buildStaticFeatures(n)
+	g.maxTier = 1
+	for _, gate := range n.Gates {
+		g.maxTier = max(g.maxTier, gate.Tier)
+	}
 	g.buildTopedgeStats(n)
 	return g
-}
-
-func (g *Graph) buildStaticFeatures(n *netlist.Netlist) {
-	N := g.NumNodes
-	g.NFi = make([]float64, N)
-	g.NFo = make([]float64, N)
-	g.Lvl = make([]float64, N)
-	g.Loc = make([]float64, N)
-	g.Out = make([]float64, N)
-	g.MIV = make([]float64, N)
-	// Normalize the tier feature to [0,1] across however many tiers the
-	// design has (the paper's two-tier case keeps 0/1 exactly).
-	maxTier := int8(1)
-	for _, gate := range n.Gates {
-		if gate.Tier > maxTier {
-			maxTier = gate.Tier
-		}
-	}
-	for v := 0; v < N; v++ {
-		gate := n.Gates[g.NodeGate[v]]
-		g.NFi[v] = float64(len(g.Fanin[v]))
-		g.NFo[v] = float64(len(g.Fanout[v]))
-		g.Lvl[v] = float64(gate.Level)
-		if gate.Tier >= 0 {
-			g.Loc[v] = float64(gate.Tier) / float64(maxTier)
-		} else {
-			g.Loc[v] = 0.5 // MIVs sit between tiers
-		}
-		if g.isOutPin(int32(v)) {
-			g.Out[v] = 1
-		}
-		if gate.IsMIV {
-			g.MIV[v] = 1
-			continue
-		}
-		// Adjacent to an MIV?
-		for _, src := range gate.Fanin {
-			if n.Gates[src].IsMIV {
-				g.MIV[v] = 1
-			}
-		}
-		if g.MIV[v] == 0 {
-			for _, s := range gate.Fanout {
-				if n.Gates[s].IsMIV {
-					g.MIV[v] = 1
-				}
-			}
-		}
-	}
 }
 
 // buildTopedgeStats runs one reverse BFS per Topnode over the pin graph,
@@ -278,17 +231,53 @@ func (g *Graph) nodeTransitions(res *sim.Result, v int32, k int) bool {
 	return (res.V1[d][w]^res.V2[d][w])>>(k%64)&1 != 0
 }
 
+// loc is the tier-level location of the gate's pin nodes: its tier
+// normalized to [0,1], or 0.5 for an MIV, which sits between tiers.
+func (g *Graph) loc(gate *netlist.Gate) float64 {
+	if gate.Tier < 0 {
+		return 0.5
+	}
+	return float64(gate.Tier) / float64(g.maxTier)
+}
+
+// touchesMIV reports whether a pin of the gate is an MIV pin or adjacent
+// to one: the gate is an MIV, or an MIV drives or reads it.
+func touchesMIV(n *netlist.Netlist, gate *netlist.Gate) bool {
+	if gate.IsMIV {
+		return true
+	}
+	for _, adj := range [2][]int{gate.Fanin, gate.Fanout} {
+		for _, id := range adj {
+			if n.Gates[id].IsMIV {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// flag is 1 for true and 0 for false.
+func flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // staticFeatureRow fills the first 7 and last 4 Table-II columns for node v
 // into row (length FeatureDim); columns 7 and 8 (subgraph degrees) are the
-// caller's responsibility.
+// caller's responsibility. The first 7 follow from the pin adjacency and
+// the node's gate; the last 4 are the Topedge statistics.
 func (g *Graph) staticFeatureRow(v int32, row []float64) {
-	row[0] = g.NFi[v]
-	row[1] = g.NFo[v]
+	n := g.Netlist()
+	gate := n.Gates[g.NodeGate[v]]
+	row[0] = float64(len(g.Fanin[v]))
+	row[1] = float64(len(g.Fanout[v]))
 	row[2] = g.NTop[v]
-	row[3] = g.Loc[v]
-	row[4] = g.Lvl[v]
-	row[5] = g.Out[v]
-	row[6] = g.MIV[v]
+	row[3] = g.loc(gate)
+	row[4] = float64(gate.Level)
+	row[5] = flag(g.isOutPin(v))
+	row[6] = flag(touchesMIV(n, gate))
 	row[9] = g.DMean[v]
 	row[10] = g.DStd[v]
 	row[11] = g.MIVMean[v]

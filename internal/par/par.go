@@ -13,7 +13,9 @@ package par
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -40,6 +42,12 @@ func ForEach(workers, n int, fn func(i int)) {
 // state (forked engines, model replicas) without locking. A given index is
 // processed by exactly one worker; the mapping of indices to workers is
 // not deterministic, so per-worker state must not influence results.
+//
+// A panic in fn reaches the caller's goroutine however many workers run,
+// so a recover there isolates it. With one worker fn runs on the caller's
+// goroutine and its panic is unchanged. Otherwise the first worker panic
+// stops every worker from claiming another index and, once all have
+// returned, is raised again on the caller as a *WorkerPanic.
 func ForEachWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -54,22 +62,76 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
+	r := &workerGroup{}
+	r.wg.Add(w)
 	for worker := 0; worker < w; worker++ {
 		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
+			defer r.done()
+			for i := r.claim(); i < n; i = r.claim() {
 				fn(worker, i)
 			}
 		}(worker)
 	}
-	wg.Wait()
+	r.wait()
+}
+
+// WorkerPanic is the value a par primitive panics with on the caller's
+// goroutine when fn panicked on a worker goroutine: the worker's panic
+// value and the worker's stack at the panic, which the caller's own stack
+// no longer shows.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+// Error renders the worker's panic value followed by its stack.
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\npanicked on a par worker:\n%s", p.Value, p.Stack)
+}
+
+// Unwrap returns the worker's panic value when it is an error, so
+// errors.Is and errors.As see through the wrapper.
+func (p *WorkerPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
+// workerGroup is the shared state of one parallel loop: the next index to
+// claim, the items completed, the running workers, and the first worker
+// panic.
+type workerGroup struct {
+	next      atomic.Int64
+	completed atomic.Int64 // counted by ForEachWorkerCtx only
+	wg        sync.WaitGroup
+	first     atomic.Pointer[WorkerPanic]
+}
+
+// claim returns the next unclaimed index.
+func (r *workerGroup) claim() int { return int(r.next.Add(1)) - 1 }
+
+// done is deferred by every worker. A worker that panicked recovers here,
+// records the first panic, and pushes the claim counter past every index
+// so that no worker claims another. A panic value that is already a
+// *WorkerPanic (a nested par loop) is kept as it is.
+func (r *workerGroup) done() {
+	if p := recover(); p != nil {
+		r.next.Store(1 << 62)
+		wp, ok := p.(*WorkerPanic)
+		if !ok {
+			wp = &WorkerPanic{Value: p, Stack: debug.Stack()}
+		}
+		r.first.CompareAndSwap(nil, wp)
+	}
+	r.wg.Done()
+}
+
+// wait waits for every worker to return, then raises the first worker
+// panic again on the caller's goroutine, so no worker outlives the call.
+func (r *workerGroup) wait() {
+	r.wg.Wait()
+	if p := r.first.Load(); p != nil {
+		panic(p)
+	}
 }
 
 // ForEachCtx is ForEach with cooperative cancellation: every worker checks
@@ -84,7 +146,7 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 }
 
 // ForEachWorkerCtx is ForEachWorker with the cooperative cancellation
-// semantics of ForEachCtx.
+// semantics of ForEachCtx, and ForEachWorker's handling of a panic in fn.
 func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -102,24 +164,23 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int
 		}
 		return nil
 	}
-	var next, done atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
+	r := &workerGroup{}
+	r.wg.Add(w)
 	for worker := 0; worker < w; worker++ {
 		go func(worker int) {
-			defer wg.Done()
+			defer r.done()
 			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
+				i := r.claim()
 				if i >= n {
 					return
 				}
 				fn(worker, i)
-				done.Add(1)
+				r.completed.Add(1)
 			}
 		}(worker)
 	}
-	wg.Wait()
-	if int(done.Load()) == n {
+	r.wait()
+	if int(r.completed.Load()) == n {
 		return nil // every index completed, even if ctx fired at the end
 	}
 	return ctx.Err()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -272,5 +273,127 @@ func TestFlightHook(t *testing.T) {
 	f.Do("other", func() (int, error) { return 1, nil })
 	if misses != 2 || hits != 2 {
 		t.Fatalf("hits=%d misses=%d, want 2/2", hits, misses)
+	}
+}
+
+// panicEntryPoints runs fn through every exported par loop at workers
+// workers over n indices.
+var panicEntryPoints = map[string]func(workers, n int, fn func(i int)){
+	"ForEach":       ForEach,
+	"ForEachWorker": func(w, n int, fn func(int)) { ForEachWorker(w, n, func(_, i int) { fn(i) }) },
+	"ForEachCtx":    func(w, n int, fn func(int)) { ForEachCtx(context.Background(), w, n, fn) },
+	"ForEachWorkerCtx": func(w, n int, fn func(int)) {
+		ForEachWorkerCtx(context.Background(), w, n, func(_, i int) { fn(i) })
+	},
+	"Map": func(w, n int, fn func(int)) { Map(w, n, func(i int) int { fn(i); return i }) },
+	"MapWorker": func(w, n int, fn func(int)) {
+		MapWorker(w, n, func(_, i int) int { fn(i); return i })
+	},
+	"MapCtx": func(w, n int, fn func(int)) {
+		MapCtx(context.Background(), w, n, func(i int) int { fn(i); return i })
+	},
+	"MapWorkerCtx": func(w, n int, fn func(int)) {
+		MapWorkerCtx(context.Background(), w, n, func(_, i int) int { fn(i); return i })
+	},
+}
+
+// recovered runs call and returns what a recover on the calling goroutine
+// sees.
+func recovered(call func()) (p any) {
+	defer func() { p = recover() }()
+	call()
+	return nil
+}
+
+// TestWorkerPanicReachesCaller panics in fn at one index and asserts, for
+// every entry point and worker count >= 2, that the caller's recover gets
+// the value with the worker's stack, and that no worker is still running
+// or starts another item after the call has panicked.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	type boom struct{ i int }
+	for name, run := range panicEntryPoints {
+		for _, w := range []int{2, 8} {
+			before := runtime.NumGoroutine()
+			var running, calls atomic.Int32
+			p := recovered(func() {
+				run(w, 64, func(i int) {
+					running.Add(1)
+					defer running.Add(-1)
+					calls.Add(1)
+					if i == 5 {
+						panic(boom{i})
+					}
+					time.Sleep(100 * time.Microsecond)
+				})
+			})
+			wp, ok := p.(*WorkerPanic)
+			if !ok {
+				t.Fatalf("%s workers=%d: recovered %v (%T), want a *WorkerPanic", name, w, p, p)
+			}
+			if wp.Value != (boom{5}) {
+				t.Fatalf("%s workers=%d: panic value %v, want %v", name, w, wp.Value, boom{5})
+			}
+			if !strings.Contains(wp.Error(), "par_test.go") {
+				t.Fatalf("%s workers=%d: message lacks the worker's stack:\n%s", name, w, wp.Error())
+			}
+			if n := running.Load(); n != 0 {
+				t.Fatalf("%s workers=%d: %d items still running after the panic reached the caller", name, w, n)
+			}
+			settled := calls.Load()
+			time.Sleep(2 * time.Millisecond)
+			if calls.Load() != settled {
+				t.Fatalf("%s workers=%d: items started after the panic reached the caller", name, w)
+			}
+			if settled == 64 {
+				t.Fatalf("%s workers=%d: workers kept claiming indices after the panic", name, w)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%s workers=%d: goroutines leaked: %d -> %d", name, w, before, after)
+			}
+		}
+	}
+}
+
+// TestWorkerPanicUnwraps checks that an error panic stays reachable
+// through errors.Is, and that a panic crossing two nested par loops keeps
+// the innermost worker's value instead of being wrapped twice.
+func TestWorkerPanicUnwraps(t *testing.T) {
+	sentinel := errors.New("sentinel")
+	p := recovered(func() {
+		ForEach(2, 4, func(i int) {
+			ForEach(2, 4, func(j int) {
+				if i == 1 && j == 2 {
+					panic(sentinel)
+				}
+			})
+		})
+	})
+	wp, ok := p.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %v (%T), want a *WorkerPanic", p, p)
+	}
+	if wp.Value != sentinel || !errors.Is(wp, sentinel) {
+		t.Fatalf("panic value %v, want the sentinel error", wp.Value)
+	}
+}
+
+// TestSerialPanicUnchanged: with one worker fn runs on the caller's
+// goroutine, so its panic reaches the caller as it was raised.
+func TestSerialPanicUnchanged(t *testing.T) {
+	for name, run := range panicEntryPoints {
+		p := recovered(func() {
+			run(1, 8, func(i int) {
+				if i == 3 {
+					panic("serial")
+				}
+			})
+		})
+		if p != "serial" {
+			t.Fatalf("%s workers=1: recovered %v, want \"serial\"", name, p)
+		}
 	}
 }

@@ -292,6 +292,51 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestBacktracePanicIsolation sends a request whose back-trace panics on
+// the goroutine it runs on beside diagnosis (a bundle without a graph) and
+// asserts the panic still reaches the handler's recover: the server
+// answers 500, with the panic value but not the worker's stack, and keeps
+// serving.
+func TestBacktracePanicIsolation(t *testing.T) {
+	fx := getFixture(t)
+	broken := *fx.bundle
+	broken.Graph = nil
+	s := New(&broken, fx.fw, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for k := 0; k < 2; k++ {
+		var body bytes.Buffer
+		if err := failurelog.Write(&body, fx.light); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/diagnose", "text/plain", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500", k, resp.StatusCode)
+		}
+		if err != nil || !strings.Contains(er.Error, "nil pointer") || strings.Contains(er.Error, "goroutine") {
+			t.Fatalf("request %d: body %q (%v), want the panic value without a stack", k, er.Error, err)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after panic: %d", resp.StatusCode)
+	}
+	if s.Inflight() != 0 {
+		t.Fatalf("inflight count leaked: %d", s.Inflight())
+	}
+}
+
 // TestDrainSemantics: StartDrain flips readiness and sheds new diagnoses
 // while health stays green.
 func TestDrainSemantics(t *testing.T) {

@@ -40,6 +40,7 @@ import (
 	"repro/internal/failurelog"
 	"repro/internal/hgraph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/policy"
 	"repro/internal/version"
 )
@@ -419,6 +420,9 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 		defer func() {
 			if p := recover(); p != nil {
 				s.cfg.Logf("serve: panic in %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+				if wp, ok := p.(*par.WorkerPanic); ok {
+					p = wp.Value // the worker's stack goes to the log, not the client
+				}
 				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
 			}
 		}()

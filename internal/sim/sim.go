@@ -130,7 +130,15 @@ func TailMask(n int) uint64 {
 type Result struct {
 	N      int
 	V1, V2 [][]uint64
+
+	v2 []uint64 // V2's backing array, gate-major
 }
+
+// FlatV2 returns the capture-cycle values of every gate as one gate-major
+// slice that V2 aliases: gate id's words are [id*w:(id+1)*w], w the words
+// per signal. Kernels that index many gates read it without loading a
+// slice header per gate. Only results from Simulator.Run have one.
+func (r *Result) FlatV2() []uint64 { return r.v2 }
 
 // Trans returns the bit-parallel transition indicator V1 XOR V2 for a gate.
 // Bits beyond the pattern count are masked off.
@@ -203,8 +211,8 @@ func (s *Simulator) Run(ps *PatternSet) *Result {
 	words := ps.Words()
 	ng := len(s.n.Gates)
 	res := &Result{N: ps.N}
-	res.V1 = makeValues(ng, words)
-	res.V2 = makeValues(ng, words)
+	res.V1, _ = makeValues(ng, words)
+	res.V2, res.v2 = makeValues(ng, words)
 
 	// Launch pass: PPIs come straight from the scan load.
 	s.evalPass(res.V1, words, func(g *netlist.Gate, dst []uint64) {
@@ -241,13 +249,15 @@ func (s *Simulator) evalPass(vals [][]uint64, words int, source func(*netlist.Ga
 	}
 }
 
-func makeValues(gates, words int) [][]uint64 {
+// makeValues allocates per-gate value slices carved in gate order from one
+// backing array, which it also returns.
+func makeValues(gates, words int) ([][]uint64, []uint64) {
 	backing := make([]uint64, gates*words)
 	vals := make([][]uint64, gates)
 	for i := range vals {
-		vals[i], backing = backing[:words], backing[words:]
+		vals[i] = backing[i*words : (i+1)*words]
 	}
-	return vals
+	return vals, backing
 }
 
 // EvalGate computes a single gate's bit-parallel output from the values of
