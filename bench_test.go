@@ -20,7 +20,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gnn"
 	"repro/internal/hgraph"
-	"repro/internal/hier"
 	"repro/internal/policy"
 )
 
@@ -253,30 +252,6 @@ func BenchmarkDiagnoseThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := f.test[i%len(f.test)]
-		fw.Diagnose(f.bundle, s.Log)
-	}
-}
-
-// BenchmarkHierDiagnose is BenchmarkDiagnoseThroughput through the
-// hierarchical partitioned engine (region-walk voting, pooled parallel
-// scoring, cut-edge re-growth) forced on at 4 regions. Reports are
-// bitwise-identical to the monolithic path, so the delta between the two
-// benches is pure partitioning overhead at this (small) fixture scale;
-// the engine exists for 100K+-gate designs where the region walk keeps
-// the working set cache-resident (DESIGN.md §15).
-func BenchmarkHierDiagnose(b *testing.B) {
-	f := getFixture(b)
-	fw, err := core.Train(f.train, core.TrainOptions{Seed: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.bundle.EnableHier(hier.Options{Regions: 4})
-	// Forcing monolithic afterwards matches the auto behavior at this
-	// scale, so later benches on the shared fixture are unaffected.
-	defer f.bundle.DisableHier()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := f.test[i%len(f.test)]

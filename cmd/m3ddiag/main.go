@@ -24,7 +24,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/gnn"
-	"repro/internal/hier"
 	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/version"
@@ -42,8 +41,6 @@ func main() {
 	saveModel := flag.String("save-model", "", "write the trained framework to this file")
 	loadModel := flag.String("load-model", "", "load a framework instead of training")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = all cores); results are identical for any value")
-	hierMode := flag.Bool("hier", false, "force hierarchical partitioned diagnosis (auto-selected anyway at 50K+ gates); reports are bitwise-identical to monolithic")
-	hierRegions := flag.Int("hier-regions", 0, "region count for -hier (0 = one region per ~24K gates)")
 	fastATPG := flag.Bool("fast-atpg", false, "short collapsed-list ATPG without top-up, for paper-scale smoke runs")
 	adjCache := flag.Int("adj-cache", 0, "cap the normalized-adjacency cache at N operators (0 = auto: 256 for paper-scale designs, pinned per subgraph otherwise)")
 	noiseLevel := flag.Float64("noise", 0, "tester-noise severity in [0,1]; 0 disables the noise model")
@@ -111,21 +108,9 @@ func main() {
 	st, _ := b.Netlist.ComputeStats()
 	fmt.Printf("%d gates, %d MIVs, %d patterns, TDF coverage %.1f%%\n",
 		st.Gates, st.MIVs, b.ATPG.Patterns.N, b.ATPG.Coverage()*100)
-	// Timing and hierarchical topology go to stderr so two runs of the same
-	// build (monolithic vs -hier) stay byte-identical on stdout — the
-	// equivalence smoke test diffs them.
+	// Timing goes to stderr so two runs of the same build stay
+	// byte-identical on stdout.
 	fmt.Fprintf(os.Stderr, "m3ddiag: built in %.1fs\n", time.Since(buildStart).Seconds())
-
-	if *hierMode {
-		b.EnableHier(hier.Options{Regions: *hierRegions, Workers: *workers, Obs: reg})
-	}
-	if he, err := b.HierEngine(); err != nil {
-		fatal("hierarchical engine: %v", err)
-	} else if he != nil {
-		hs := he.Stats()
-		fmt.Fprintf(os.Stderr, "m3ddiag: hierarchical diagnosis: %d regions, %d cut hyperedges, %d cut pin edges\n",
-			hs.Regions, hs.GateCut, hs.PinCutEdges)
-	}
 
 	var fw *core.Framework
 	if *loadModel != "" {

@@ -38,7 +38,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/gnn"
-	"repro/internal/hier"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/tune"
@@ -67,8 +66,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "optional second listener with net/http/pprof handlers (e.g. 127.0.0.1:6060); empty disables")
 	traceRing := flag.Int("trace-ring", 64, "recent request traces retained for GET /debug/traces")
 	quiet := flag.Bool("quiet", false, "suppress the per-request access log (metrics and traces still record)")
-	hierMode := flag.Bool("hier", false, "force hierarchical partitioned diagnosis (auto-selected anyway at 50K+ gates); responses are bitwise-identical to monolithic")
-	hierRegions := flag.Int("hier-regions", 0, "region count for hierarchical diagnosis (0 = one region per ~24K gates)")
 	fastATPG := flag.Bool("fast-atpg", false, "short collapsed-list ATPG without top-up, for paper-scale smoke runs")
 	adjCache := flag.Int("adj-cache", 0, "cap the normalized-adjacency cache at N operators (0 = auto: 256 for paper-scale designs, pinned per subgraph otherwise)")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -137,25 +134,6 @@ func main() {
 
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, *traceRing)
-
-	// The service already fans out across requests, so when more than one
-	// diagnosis can run at a time the hierarchical engine walks its regions
-	// serially — responses are identical either way and the cores are not
-	// oversubscribed.
-	if *hierMode || p.TargetGates >= gen.LargeGateThreshold {
-		innerWorkers := 1
-		if *concurrency == 1 {
-			innerWorkers = 0
-		}
-		b.EnableHier(hier.Options{Regions: *hierRegions, Workers: innerWorkers, Obs: reg})
-		if he, err := b.HierEngine(); err != nil {
-			fatal("hierarchical engine: %v", err)
-		} else if he != nil {
-			hs := he.Stats()
-			logf("hierarchical diagnosis: %d regions, %d cut hyperedges, %d cut pin edges",
-				hs.Regions, hs.GateCut, hs.PinCutEdges)
-		}
-	}
 
 	fw, artInfo, err := loadOrTrain(ctx, store, *modelName, b, *trainSamples, *seed, *compacted, *workers, arch, reg, logf)
 	if err != nil {

@@ -36,7 +36,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/gen"
 	"repro/internal/gnn"
-	"repro/internal/hier"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/serve"
@@ -60,8 +59,6 @@ func main() {
 	topK := flag.Int("top", 16, "candidates retained per die")
 	alpha := flag.Float64("alpha", 1e-4, "systematic-detector family-wise false-positive budget")
 	multi := flag.Bool("multi", false, "use the multi-fault diagnosis path")
-	hierMode := flag.Bool("hier", false, "force hierarchical partitioned diagnosis (auto-selected anyway at 50K+ gates); the report is bitwise-identical to monolithic")
-	hierRegions := flag.Int("hier-regions", 0, "region count for hierarchical diagnosis (0 = one region per ~24K gates)")
 	fastATPG := flag.Bool("fast-atpg", false, "short collapsed-list ATPG without top-up, for paper-scale smoke runs")
 	adjCache := flag.Int("adj-cache", 0, "cap the normalized-adjacency cache at N operators (0 = auto: 256 for paper-scale designs, pinned per subgraph otherwise)")
 	maxLogBytes := flag.Int64("max-log-bytes", 0, "per-file failure-log read cap in bytes (0 = the 64 MiB default)")
@@ -127,16 +124,6 @@ func main() {
 	}
 
 	nWorkers := par.Workers(*workers)
-	// The campaign already fans out across logs, so when it runs more than
-	// one worker the hierarchical engine walks its regions serially — the
-	// report is identical either way and the cores are not oversubscribed.
-	if *hierMode || p.TargetGates >= gen.LargeGateThreshold {
-		innerWorkers := 1
-		if nWorkers == 1 {
-			innerWorkers = 0
-		}
-		b.EnableHier(hier.Options{Regions: *hierRegions, Workers: innerWorkers, Obs: reg})
-	}
 	var diagnosers []volume.Diagnoser
 	if *remote != "" {
 		endpoints := splitEndpoints(*remote)

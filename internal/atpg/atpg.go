@@ -46,8 +46,8 @@ type Options struct {
 // Quick returns options tuned for wall-clock-bounded runs on paper-scale
 // (100K+ gate) designs: a short random phase against the collapsed fault
 // list and no deterministic top-up. Coverage lands well below the default
-// 99% target, which is acceptable for hierarchical-diagnosis smoke runs
-// and scale benchmarks where pattern quality is not under test.
+// 99% target, which is acceptable for paper-scale smoke runs and scale
+// benchmarks where pattern quality is not under test.
 func Quick() Options {
 	return Options{
 		MaxRandomBatches: 8,

@@ -229,21 +229,29 @@ func (fw *Framework) DiagnoseCtx(ctx context.Context, b *dataset.Bundle, log *fa
 // so both must escape the call. The back-trace runs alongside the ATPG
 // diagnosis (see alongside).
 func (fw *Framework) DiagnoseFullCtx(ctx context.Context, b *dataset.Bundle, log *failurelog.Log) (*diagnosis.Report, *hgraph.Subgraph, *policy.Outcome, error) {
-	defer obs.Start(ctx, "core.diagnose").End()
-	// Paper-scale designs (or bundles with hier forced on) route both heavy
-	// stages through the hierarchical partitioned engine; the results are
-	// bitwise-identical to the monolithic path.
-	he, err := b.HierEngine()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: hierarchical engine: %w", err)
+	return fw.diagnoseWith(ctx, "core.diagnose", b, log, b.Diag.DiagnoseCtx)
+}
+
+// DiagnoseMultiCtx is DiagnoseCtx for failure logs that may contain several
+// simultaneous same-tier defects (Section VII-A): the ATPG stage uses the
+// relaxed multi-fault extraction and greedy set cover, alongside the same
+// back-trace.
+func (fw *Framework) DiagnoseMultiCtx(ctx context.Context, b *dataset.Bundle, log *failurelog.Log) (*diagnosis.Report, *policy.Outcome, error) {
+	rep, _, out, err := fw.diagnoseWith(ctx, "core.diagnose_multi", b, log, b.Diag.DiagnoseMultiCtx)
+	return rep, out, err
+}
+
+// diagnoseWith is the deployment flow of Fig. 1 under a span named name:
+// the bundle's back-trace alongside the given ATPG diagnosis, then the
+// pruning and reordering policy on the report and subgraph.
+func (fw *Framework) diagnoseWith(ctx context.Context, name string, b *dataset.Bundle, log *failurelog.Log,
+	diagnose func(context.Context, *failurelog.Log) (*diagnosis.Report, error),
+) (*diagnosis.Report, *hgraph.Subgraph, *policy.Outcome, error) {
+	defer obs.Start(ctx, name).End()
+	backtrace := func(ctx context.Context, log *failurelog.Log) (*hgraph.Subgraph, error) {
+		return b.Graph.BacktraceCtx(ctx, log, b.Diag.Result())
 	}
-	var rep *diagnosis.Report
-	var sg *hgraph.Subgraph
-	if he != nil {
-		rep, sg, err = alongside(ctx, log, he.BacktraceCtx, he.DiagnoseCtx)
-	} else {
-		rep, sg, err = alongside(ctx, log, backtracer(b), b.Diag.DiagnoseCtx)
-	}
+	rep, sg, err := alongside(ctx, log, backtrace, diagnose)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -254,34 +262,6 @@ func (fw *Framework) DiagnoseFullCtx(ctx context.Context, b *dataset.Bundle, log
 	out := fw.PolicyFor(b).ApplyCtx(ctx, rep, sg)
 	span.End()
 	return rep, sg, out, nil
-}
-
-// DiagnoseMultiCtx is DiagnoseCtx for failure logs that may contain several
-// simultaneous same-tier defects (Section VII-A): the ATPG stage uses the
-// relaxed multi-fault extraction and greedy set cover, alongside the same
-// back-trace. Multi-fault diagnosis always runs the monolithic path — its
-// set-cover extraction has no hierarchical counterpart.
-func (fw *Framework) DiagnoseMultiCtx(ctx context.Context, b *dataset.Bundle, log *failurelog.Log) (*diagnosis.Report, *policy.Outcome, error) {
-	defer obs.Start(ctx, "core.diagnose_multi").End()
-	rep, sg, err := alongside(ctx, log, backtracer(b), b.Diag.DiagnoseMultiCtx)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("core: diagnose: %w", err)
-	}
-	span := obs.Start(ctx, "policy.apply")
-	out := fw.PolicyFor(b).ApplyCtx(ctx, rep, sg)
-	span.End()
-	return rep, out, nil
-}
-
-// backtracer returns the monolithic back-trace of the bundle's graph over
-// its good-machine simulation.
-func backtracer(b *dataset.Bundle) func(context.Context, *failurelog.Log) (*hgraph.Subgraph, error) {
-	return func(ctx context.Context, log *failurelog.Log) (*hgraph.Subgraph, error) {
-		return b.Graph.BacktraceCtx(ctx, log, b.Diag.Result())
-	}
 }
 
 // alongside runs a log's back-trace and its ATPG diagnosis concurrently,

@@ -8,7 +8,6 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/atpg"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/gen"
 	"repro/internal/hgraph"
-	"repro/internal/hier"
 	"repro/internal/netlist"
 	"repro/internal/noise"
 	"repro/internal/obs"
@@ -61,85 +59,6 @@ type Bundle struct {
 	// draws always find a valid tier (MIV faults belong to no tier and are
 	// never included).
 	tierFaults [][]faultsim.Fault
-
-	// Hierarchical diagnosis routing (see HierEngine). Held behind a
-	// pointer so shallow bundle copies share one memoized engine — region
-	// partitioning a paper-scale design is expensive, its result is reused
-	// by every diagnosis on the bundle, and the engine itself is safe for
-	// concurrent calls.
-	hierState *hierState
-}
-
-type hierMode int
-
-const (
-	hierAuto hierMode = iota // hierarchical above hier.AutoGateThreshold
-	hierOn                   // forced hierarchical
-	hierOff                  // forced monolithic
-)
-
-type hierState struct {
-	mu    sync.Mutex
-	mode  hierMode
-	opt   hier.Options
-	eng   *hier.Engine
-	err   error
-	built bool
-}
-
-// hierSt returns the bundle's hierarchical routing state. Build always
-// allocates one; the lazy path exists only for hand-assembled test
-// bundles, which are single-goroutine at this point.
-func (b *Bundle) hierSt() *hierState {
-	if b.hierState == nil {
-		b.hierState = &hierState{}
-	}
-	return b.hierState
-}
-
-// EnableHier forces hierarchical partitioned diagnosis for this bundle
-// with the given options. Without a call, core diagnosis auto-selects the
-// hierarchical engine for designs at or above hier.AutoGateThreshold
-// gates; the two paths produce bitwise-identical results either way.
-func (b *Bundle) EnableHier(opt hier.Options) {
-	s := b.hierSt()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mode = hierOn
-	s.opt = opt
-	s.eng, s.err, s.built = nil, nil, false
-}
-
-// DisableHier forces monolithic diagnosis regardless of design size.
-func (b *Bundle) DisableHier() {
-	s := b.hierSt()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mode = hierOff
-	s.eng, s.err, s.built = nil, nil, false
-}
-
-// HierEngine returns the hierarchical engine serving this bundle,
-// constructing and memoizing it on first use. It returns (nil, nil) when
-// hierarchical mode is off: neither forced via EnableHier nor
-// auto-selected by design size.
-func (b *Bundle) HierEngine() (*hier.Engine, error) {
-	s := b.hierSt()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.mode {
-	case hierOff:
-		return nil, nil
-	case hierAuto:
-		if len(b.Netlist.Gates) < hier.AutoGateThreshold {
-			return nil, nil
-		}
-	}
-	if !s.built {
-		s.eng, s.err = hier.New(b.Diag, b.Graph, s.opt)
-		s.built = true
-	}
-	return s.eng, s.err
 }
 
 // groupFaultsByTier builds the per-tier gate-fault pools used by
@@ -238,7 +157,6 @@ func Build(p gen.Profile, cfg ConfigName, opt BuildOptions) (*Bundle, error) {
 	}
 	faults := faultsim.AllFaults(m3d)
 	return &Bundle{
-		hierState:  &hierState{},
 		Name:       m3d.Name,
 		Profile:    p,
 		Config:     cfg,

@@ -406,14 +406,6 @@ func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report,
 	cands := d.extractCandidates(log, count, responses)
 	span.End()
 	obs.Add(ctx, "m3d_diag_candidates_extracted_total", int64(len(cands)))
-	return d.ReportFromCandidates(ctx, log, cands)
-}
-
-// ReportFromCandidates scores, refines and ranks the candidate pool of a
-// sanitized log into its report: every stage of DiagnoseCtx after
-// candidate extraction, with the same parallel scoring and cancellation.
-// Safe for concurrent use: every call runs on a pooled fork.
-func (d *Engine) ReportFromCandidates(ctx context.Context, log *failurelog.Log, cands []faultsim.Fault) (*Report, error) {
 	w, err := d.forks.get(ctx, d)
 	if err != nil {
 		return nil, fmt.Errorf("diagnosis: %w", err)

@@ -25,7 +25,7 @@ type Observed struct {
 }
 
 // NewObserved encodes a failure log for ScoreCandidate. Fails this engine
-// cannot address are dropped first (see Sanitize). When the tester's fail
+// cannot address are dropped first (see sanitize). When the tester's fail
 // memory truncated the log, predicted failures after the last recorded
 // pattern are not evidence against a candidate, so the masks end there.
 func (d *Engine) NewObserved(log *failurelog.Log) *Observed {

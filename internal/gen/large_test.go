@@ -145,7 +145,7 @@ func TestEmitLargeBoundedMemory(t *testing.T) {
 
 // TestGenerateLargeScale builds the full 300K-gate paper design once (not
 // in -short), checking the generator holds its gate-count contract at the
-// scale the hierarchical engine targets.
+// paper's scale.
 func TestGenerateLargeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")

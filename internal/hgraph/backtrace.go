@@ -84,7 +84,7 @@ func (g *Graph) BacktraceCtx(ctx context.Context, log *failurelog.Log, res *sim.
 	if err != nil {
 		return nil, err
 	}
-	return g.SubgraphFromVotes(count, len(log.Fails)), nil
+	return g.subgraphFromVotes(count, len(log.Fails)), nil
 }
 
 // votes counts, per pin node, the failing responses of a sanitized log in
@@ -130,13 +130,11 @@ func (g *Graph) votes(ctx context.Context, log *failurelog.Log, res *sim.Result)
 	return count, nil
 }
 
-// SubgraphFromVotes intersects the per-response suspect sets and extracts
+// subgraphFromVotes intersects the per-response suspect sets and extracts
 // the induced subgraph (Table-II features): it picks the nodes voted by
 // every one of the responses, relaxing the threshold progressively when
-// none is. It is the final stage of BacktraceCtx, exported so the
-// hierarchical backtrace (internal/hier), which counts the same votes by
-// region-partitioned BFS, produces a bitwise-identical subgraph.
-func (g *Graph) SubgraphFromVotes(count []int32, responses int) *Subgraph {
+// none is. It is the final stage of BacktraceCtx.
+func (g *Graph) subgraphFromVotes(count []int32, responses int) *Subgraph {
 	var picked []int32
 	for _, frac := range []float64{1.0, 0.8, 0.5, 0.0} {
 		need := int32(frac * float64(responses))
@@ -153,12 +151,6 @@ func (g *Graph) SubgraphFromVotes(count []int32, responses int) *Subgraph {
 		}
 	}
 	return g.subgraph(picked)
-}
-
-// NodeTransitions reports whether pin node v switches under pattern k
-// (see nodeTransitions), exported for the hierarchical backtrace.
-func (g *Graph) NodeTransitions(res *sim.Result, v int32, k int) bool {
-	return g.nodeTransitions(res, v, k)
 }
 
 // subgraph builds the induced subgraph with Table-II features.

@@ -215,9 +215,6 @@ func (g *Graph) buildTopedgeStats(n *netlist.Netlist) {
 	}
 }
 
-// Arch returns the scan architecture the graph was built over.
-func (g *Graph) Arch() *scan.Arch { return g.arch }
-
 // Netlist returns the underlying design.
 func (g *Graph) Netlist() *netlist.Netlist { return g.arch.Netlist() }
 

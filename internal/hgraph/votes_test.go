@@ -128,7 +128,7 @@ func TestBacktraceMatchesPerResponseWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := f.g.SubgraphFromVotes(wantCount, responses); !reflect.DeepEqual(got, want) {
+			if want := f.g.subgraphFromVotes(wantCount, responses); !reflect.DeepEqual(got, want) {
 				t.Fatalf("compacted=%v log %s: subgraph differs (%d nodes, want %d)", compacted, name, got.NumNodes(), want.NumNodes())
 			}
 		}

@@ -134,19 +134,14 @@ func (r *workerGroup) wait() {
 	}
 }
 
-// ForEachCtx is ForEach with cooperative cancellation: every worker checks
-// ctx before each item and stops claiming new indices once ctx is done, so
-// a cancelled call returns promptly (after at most one in-flight fn per
-// worker) instead of finishing the remaining items. It returns ctx.Err()
-// when the run was cut short and nil when every index completed. All
-// goroutines have exited by the time ForEachCtx returns — cancellation
-// never leaks workers.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
-	return ForEachWorkerCtx(ctx, workers, n, func(_, i int) { fn(i) })
-}
-
-// ForEachWorkerCtx is ForEachWorker with the cooperative cancellation
-// semantics of ForEachCtx, and ForEachWorker's handling of a panic in fn.
+// ForEachWorkerCtx is ForEachWorker with cooperative cancellation: every
+// worker checks ctx before each item and stops claiming new indices once
+// ctx is done, so a cancelled call returns promptly (after at most one
+// in-flight fn per worker) instead of finishing the remaining items. It
+// returns ctx.Err() when the run was cut short and nil when every index
+// completed. A panic in fn is handled as in ForEachWorker, and all
+// goroutines have exited by the time ForEachWorkerCtx returns —
+// cancellation never leaks workers.
 func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -184,22 +179,6 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int
 		return nil // every index completed, even if ctx fired at the end
 	}
 	return ctx.Err()
-}
-
-// MapCtx is Map with cooperative cancellation: on cancellation it returns
-// the partially filled result slice (unprocessed indices hold zero values)
-// together with ctx.Err().
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) T) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachCtx(ctx, workers, n, func(i int) { out[i] = fn(i) })
-	return out, err
-}
-
-// MapWorkerCtx is MapWorker with the cancellation semantics of MapCtx.
-func MapWorkerCtx[T any](ctx context.Context, workers, n int, fn func(worker, i int) T) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachWorkerCtx(ctx, workers, n, func(w, i int) { out[i] = fn(w, i) })
-	return out, err
 }
 
 // Map fans fn out over indices [0, n) on at most workers goroutines and

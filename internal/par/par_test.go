@@ -147,10 +147,10 @@ func TestFlightDistinctKeys(t *testing.T) {
 	}
 }
 
-func TestForEachCtxCompletesWithoutCancel(t *testing.T) {
+func TestForEachWorkerCtxCompletesWithoutCancel(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		var hits atomic.Int64
-		err := ForEachCtx(context.Background(), w, 100, func(i int) { hits.Add(1) })
+		err := ForEachWorkerCtx(context.Background(), w, 100, func(_, i int) { hits.Add(1) })
 		if err != nil {
 			t.Fatalf("workers=%d: unexpected error %v", w, err)
 		}
@@ -160,30 +160,17 @@ func TestForEachCtxCompletesWithoutCancel(t *testing.T) {
 	}
 }
 
-func TestMapCtxMatchesMap(t *testing.T) {
-	got, err := MapCtx(context.Background(), 4, 50, func(i int) int { return i * i })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Map(4, 50, func(i int) int { return i * i })
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("index %d: got %d want %d", i, got[i], want[i])
-		}
-	}
-}
-
-// TestForEachCtxCancelMidRun cancels while items are still being processed
-// and asserts the call returns promptly with ctx.Err() and without leaking
-// worker goroutines.
-func TestForEachCtxCancelMidRun(t *testing.T) {
+// TestForEachWorkerCtxCancelMidRun cancels while items are still being
+// processed and asserts the call returns promptly with ctx.Err() and
+// without leaking worker goroutines.
+func TestForEachWorkerCtxCancelMidRun(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		var processed atomic.Int64
 		const n = 1 << 20
 		start := time.Now()
-		err := ForEachCtx(ctx, w, n, func(i int) {
+		err := ForEachWorkerCtx(ctx, w, n, func(_, i int) {
 			if processed.Add(1) == 32 {
 				cancel()
 			}
@@ -212,14 +199,15 @@ func TestForEachCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestForEachCtxPreCancelled asserts an already-expired context processes
-// nothing (sequential and parallel paths both check before the first item).
-func TestForEachCtxPreCancelled(t *testing.T) {
+// TestForEachWorkerCtxPreCancelled asserts an already-expired context
+// processes nothing (sequential and parallel paths both check before the
+// first item).
+func TestForEachWorkerCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, w := range []int{1, 4} {
 		var hits atomic.Int64
-		err := ForEachCtx(ctx, w, 1000, func(i int) { hits.Add(1) })
+		err := ForEachWorkerCtx(ctx, w, 1000, func(_, i int) { hits.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v", w, err)
 		}
@@ -231,9 +219,9 @@ func TestForEachCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestForEachCtxStress hammers concurrent runs with racing cancellations;
-// meaningful under -race (the CI test step runs it there).
-func TestForEachCtxStress(t *testing.T) {
+// TestForEachWorkerCtxStress hammers concurrent runs with racing
+// cancellations; meaningful under -race (the CI test step runs it there).
+func TestForEachWorkerCtxStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for round := 0; round < 16; round++ {
 		wg.Add(1)
@@ -246,7 +234,7 @@ func TestForEachCtxStress(t *testing.T) {
 				time.Sleep(time.Duration(round%5) * 100 * time.Microsecond)
 				cancel()
 			}()
-			_ = ForEachCtx(ctx, 4, 4096, func(i int) { sum.Add(int64(i)) })
+			_ = ForEachWorkerCtx(ctx, 4, 4096, func(_, i int) { sum.Add(int64(i)) })
 		}(round)
 	}
 	wg.Wait()
@@ -281,19 +269,12 @@ func TestFlightHook(t *testing.T) {
 var panicEntryPoints = map[string]func(workers, n int, fn func(i int)){
 	"ForEach":       ForEach,
 	"ForEachWorker": func(w, n int, fn func(int)) { ForEachWorker(w, n, func(_, i int) { fn(i) }) },
-	"ForEachCtx":    func(w, n int, fn func(int)) { ForEachCtx(context.Background(), w, n, fn) },
 	"ForEachWorkerCtx": func(w, n int, fn func(int)) {
 		ForEachWorkerCtx(context.Background(), w, n, func(_, i int) { fn(i) })
 	},
 	"Map": func(w, n int, fn func(int)) { Map(w, n, func(i int) int { fn(i); return i }) },
 	"MapWorker": func(w, n int, fn func(int)) {
 		MapWorker(w, n, func(_, i int) int { fn(i); return i })
-	},
-	"MapCtx": func(w, n int, fn func(int)) {
-		MapCtx(context.Background(), w, n, func(i int) int { fn(i); return i })
-	},
-	"MapWorkerCtx": func(w, n int, fn func(int)) {
-		MapWorkerCtx(context.Background(), w, n, func(_, i int) int { fn(i); return i })
 	},
 }
 

@@ -12,7 +12,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -849,10 +848,23 @@ func TestClientConcurrentUse(t *testing.T) {
 	_, _, c := newTestServer(t, fx, Config{})
 
 	// A shedding stub exercises the retry/backoff path (the only shared
-	// mutable state) from many goroutines at once.
-	var flaky atomic.Int64
+	// mutable state) from many goroutines at once. Each goroutine sends its
+	// own design name, and the stub sheds only the first request per name,
+	// so every call retries exactly once whatever the schedule.
+	var mu sync.Mutex
+	requests := map[string]int{}
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if flaky.Add(1)%2 == 1 {
+		log, err := failurelog.Read(r.Body)
+		if err != nil {
+			t.Errorf("stub: %v", err)
+			http.Error(w, `{"error":"bad log"}`, http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		requests[log.Design]++
+		first := requests[log.Design] == 1
+		mu.Unlock()
+		if first {
 			w.Header().Set("Retry-After", "0")
 			http.Error(w, `{"error":"full"}`, http.StatusTooManyRequests)
 			return
@@ -875,7 +887,8 @@ func TestClientConcurrentUse(t *testing.T) {
 		}(g)
 		go func(g int) {
 			defer wg.Done()
-			_, err := retrying.Diagnose(context.Background(), &failurelog.Log{Design: "x"}, DiagnoseOptions{})
+			log := &failurelog.Log{Design: fmt.Sprintf("x%d", g)}
+			_, err := retrying.Diagnose(context.Background(), log, DiagnoseOptions{})
 			errs[goroutines+g] = err
 		}(g)
 	}
@@ -888,6 +901,13 @@ func TestClientConcurrentUse(t *testing.T) {
 			t.Fatalf("concurrent call %d: %v", i, err)
 		}
 	}
+	mu.Lock()
+	for g := 0; g < goroutines; g++ {
+		if n := requests[fmt.Sprintf("x%d", g)]; n != 2 {
+			t.Errorf("retrying call %d made %d requests, want 2", g, n)
+		}
+	}
+	mu.Unlock()
 	c.Close() // idempotent, and the client stays usable afterwards
 	if _, err := c.Diagnose(context.Background(), fx.light, DiagnoseOptions{}); err != nil {
 		t.Fatalf("diagnose after Close: %v", err)

@@ -50,7 +50,7 @@ if [ "$gates" = 1 ]; then
   )
 fi
 
-flagship='^(BenchmarkTierInference|BenchmarkGNNFit|BenchmarkDiagnoseThroughput|BenchmarkHierDiagnose|BenchmarkDatasetGenerate|BenchmarkBacktrace|BenchmarkScoreCandidate)$'
+flagship='^(BenchmarkTierInference|BenchmarkGNNFit|BenchmarkDiagnoseThroughput|BenchmarkDatasetGenerate|BenchmarkBacktrace|BenchmarkScoreCandidate)$'
 {
   go test -run '^$' -bench "$flagship" -benchmem -benchtime "$benchtime" .
   go test -run '^$' -bench . -benchmem -benchtime "$benchtime" ./internal/gnn ./internal/mat
