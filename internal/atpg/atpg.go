@@ -29,13 +29,13 @@ type Options struct {
 	// TargetCoverage stops generation once detected/total reaches this
 	// fraction. Default 0.99.
 	TargetCoverage float64
-	// TopUp enables the deterministic PODEM phase. Default true unless
-	// SkipTopUp is set.
+	// SkipTopUp disables the deterministic PODEM phase, which runs by
+	// default.
 	SkipTopUp bool
 	// MaxBacktracks bounds PODEM backtracks per fault. Default 24.
 	MaxBacktracks int
 	// MaxTopUpFaults bounds how many undetected faults PODEM targets.
-	// Default 4000.
+	// Default 1500.
 	MaxTopUpFaults int
 	// Collapse generates against the structurally collapsed fault list
 	// (equivalence-class representatives), the commercial convention.

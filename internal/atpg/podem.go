@@ -1,7 +1,7 @@
 package atpg
 
 import (
-	"sort"
+	"math/bits"
 
 	"repro/internal/faultsim"
 	"repro/internal/netlist"
@@ -18,28 +18,35 @@ import (
 // frame-1 value whenever the good machine makes the slow transition.
 type podem struct {
 	n             *netlist.Netlist
-	order         []int
 	maxBacktracks int
 
-	piIdx map[int]int // PI gate -> index
-	ffIdx map[int]int // DFF gate -> index
-	piVal []byte      // 0, 1, or vX
+	// Pointer-free view of the netlist, by gate id unless noted.
+	order  []int32 // topological position -> gate
+	pos    []int32 // gate -> topological position
+	kind   []netlist.GateType
+	finOff []int32 // gate id's drivers are fanin[finOff[id]:finOff[id+1]], in pin order
+	fanin  []int32
+	// Gate id's sinks within a frame are sinks[sinkOff[id]:sinkOff[id+1]]:
+	// every fanout gate but flops, POs included. Its flop sinks, whose
+	// frame-2 value is its frame-1 value, are ffSinks[ffOff[id]:ffOff[id+1]].
+	// Both hold topological positions, each sink once however many pins
+	// it feeds.
+	sinkOff, sinks []int32
+	ffOff, ffSinks []int32
+	srcIdx         []int32 // PI gate -> PI index, flop -> flop index
+	obsSrc         []int32 // capture gates (fanin of POs and flops), deduped
+	pinVals        []byte  // evalPin scratch: the site's input values
+	pinIdx         []int32 // the identity fan-in over pinVals
+
+	piVal []byte // 0, 1, or vX
 	ffVal []byte
 
 	f1 []byte // frame-1 values
 	g2 []byte // frame-2 good values
 	b2 []byte // frame-2 faulty values
 
-	obsSrc []int // capture gates (fanin of POs and flops), deduped
-
-	// Incremental implication machinery: per decision variable, the
-	// topologically sorted frame-1 and frame-2 update cones (lazily built).
-	// Variable index space: [0, len(PIs)) PIs, then FFs.
-	pos   []int32
-	cone1 [][]int32
-	cone2 [][]int32
-	mark  []int32
-	stamp int32
+	q1, q2 posQueue // frame-1 and frame-2 events
+	cone   []int32  // the current target's site cone
 }
 
 // Three-valued logic constants.
@@ -50,188 +57,240 @@ const (
 )
 
 func newPodem(n *netlist.Netlist, maxBacktracks int) *podem {
+	gates := len(n.Gates)
 	p := &podem{
 		n:             n,
-		order:         n.TopoOrder(),
 		maxBacktracks: maxBacktracks,
-		piIdx:         make(map[int]int, len(n.PIs)),
-		ffIdx:         make(map[int]int, len(n.FFs)),
+		order:         make([]int32, gates),
+		pos:           make([]int32, gates),
+		kind:          make([]netlist.GateType, gates),
+		finOff:        make([]int32, gates+1),
+		sinkOff:       make([]int32, gates+1),
+		ffOff:         make([]int32, gates+1),
+		srcIdx:        make([]int32, gates),
 		piVal:         make([]byte, len(n.PIs)),
 		ffVal:         make([]byte, len(n.FFs)),
-		f1:            make([]byte, len(n.Gates)),
-		g2:            make([]byte, len(n.Gates)),
-		b2:            make([]byte, len(n.Gates)),
+		f1:            make([]byte, gates),
+		g2:            make([]byte, gates),
+		b2:            make([]byte, gates),
+		q1:            newPosQueue(gates),
+		q2:            newPosQueue(gates),
 	}
-	for i, id := range n.PIs {
-		p.piIdx[id] = i
-	}
-	for i, id := range n.FFs {
-		p.ffIdx[id] = i
-	}
-	seen := make(map[int]bool)
-	for _, po := range n.POs {
-		src := n.Gates[po].Fanin[0]
-		if !seen[src] {
-			seen[src] = true
-			p.obsSrc = append(p.obsSrc, src)
-		}
-	}
-	for _, ff := range n.FFs {
-		src := n.Gates[ff].Fanin[0]
-		if !seen[src] {
-			seen[src] = true
-			p.obsSrc = append(p.obsSrc, src)
-		}
-	}
-	p.pos = make([]int32, len(n.Gates))
-	for i, id := range p.order {
+	for i, id := range n.TopoOrder() {
+		p.order[i] = int32(id)
 		p.pos[id] = int32(i)
 	}
-	nvars := len(n.PIs) + len(n.FFs)
-	p.cone1 = make([][]int32, nvars)
-	p.cone2 = make([][]int32, nvars)
-	p.mark = make([]int32, len(n.Gates))
-	for i := range p.mark {
-		p.mark[i] = -1
+	maxFanin := 0
+	seen := make([]int32, gates) // sink stamp: driver id + 1
+	for id, g := range n.Gates {
+		p.kind[id] = g.Type
+		for _, d := range g.Fanin {
+			p.fanin = append(p.fanin, int32(d))
+		}
+		p.finOff[id+1] = int32(len(p.fanin))
+		maxFanin = max(maxFanin, len(g.Fanin))
+		for _, s := range g.Fanout {
+			if seen[s] == int32(id)+1 {
+				continue
+			}
+			seen[s] = int32(id) + 1
+			if n.Gates[s].Type == netlist.DFF {
+				p.ffSinks = append(p.ffSinks, p.pos[s])
+			} else {
+				p.sinks = append(p.sinks, p.pos[s])
+			}
+		}
+		p.sinkOff[id+1] = int32(len(p.sinks))
+		p.ffOff[id+1] = int32(len(p.ffSinks))
+	}
+	p.pinVals = make([]byte, maxFanin)
+	p.pinIdx = make([]int32, maxFanin)
+	for i := range p.pinIdx {
+		p.pinIdx[i] = int32(i)
+	}
+	for i, id := range n.PIs {
+		p.srcIdx[id] = int32(i)
+	}
+	for i, id := range n.FFs {
+		p.srcIdx[id] = int32(i)
+	}
+	clear(seen)
+	for _, obs := range [][]int{n.POs, n.FFs} {
+		for _, id := range obs {
+			src := n.Gates[id].Fanin[0]
+			if seen[src] == 0 {
+				seen[src] = 1
+				p.obsSrc = append(p.obsSrc, int32(src))
+			}
+		}
 	}
 	return p
 }
 
-// varGate maps a decision-variable index to its gate.
-func (p *podem) varGate(v int) int {
+// drivers returns gate id's fan-in gates in pin order.
+func (p *podem) drivers(id int32) []int32 {
+	return p.fanin[p.finOff[id]:p.finOff[id+1]]
+}
+
+// varGate maps a decision-variable index to its gate. Variable index
+// space: [0, len(PIs)) PIs, then flops.
+func (p *podem) varGate(v int) int32 {
 	if v < len(p.n.PIs) {
-		return p.n.PIs[v]
+		return int32(p.n.PIs[v])
 	}
-	return p.n.FFs[v-len(p.n.PIs)]
+	return int32(p.n.FFs[v-len(p.n.PIs)])
 }
 
-// buildCones computes the frame-1 and frame-2 update cones of variable v.
-// cone1 is the combinational fan-out cone of the variable's gate (stopping
-// at flop data pins); cone2 adds the frame-2 re-entry: flops fed from
-// cone1 plus their combinational fan-out cones, and — for primary inputs,
-// which drive both frames — cone1 itself.
-func (p *podem) buildCones(v int) {
-	n := p.n
-	root := p.varGate(v)
-	p.stamp++
-	st := p.stamp
-	var c1 []int32
-	stack := []int32{int32(root)}
-	p.mark[root] = st
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c1 = append(c1, id)
-		if n.Gates[id].Type == netlist.DFF && int(id) != root {
-			continue
-		}
-		for _, s := range n.Gates[id].Fanout {
-			if p.mark[s] == st || n.Gates[s].Type == netlist.DFF {
-				continue
-			}
-			p.mark[s] = st
-			stack = append(stack, int32(s))
-		}
+// transformInput is the gate whose frame-1 value the fault's frame-2
+// transform reads: the site itself for an output-pin fault, the faulted
+// pin's driver for an input-pin fault.
+func (p *podem) transformInput(f faultsim.Fault) int32 {
+	if f.Pin == faultsim.OutputPin {
+		return int32(f.Gate)
 	}
-	// Frame-2 entry points: every flop whose data pin is fed from cone1
-	// (including the root itself on feedback paths).
-	p.stamp++
-	epSt := p.stamp
-	var endpoints []int32
-	for _, id := range c1 {
-		for _, s := range n.Gates[id].Fanout {
-			if n.Gates[s].Type == netlist.DFF && p.mark[s] != epSt {
-				p.mark[s] = epSt
-				endpoints = append(endpoints, int32(s))
-			}
-		}
-	}
-	// Frame-2 cone.
-	p.stamp++
-	st2 := p.stamp
-	var c2 []int32
-	stack = stack[:0]
-	push := func(id int32) {
-		if p.mark[id] != st2 {
-			p.mark[id] = st2
-			stack = append(stack, id)
-		}
-	}
-	if v < len(n.PIs) {
-		push(int32(root))
-	}
-	for _, ep := range endpoints {
-		push(ep)
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c2 = append(c2, id)
-		for _, s := range n.Gates[id].Fanout {
-			if p.mark[s] == st2 {
-				continue
-			}
-			if n.Gates[s].Type == netlist.DFF {
-				continue // no third frame
-			}
-			push(int32(s))
-		}
-	}
-	sortByPos(c1, p.pos)
-	sortByPos(c2, p.pos)
-	p.cone1[v] = c1
-	p.cone2[v] = c2
+	return p.fanin[p.finOff[f.Gate]+int32(f.Pin)]
 }
 
-func sortByPos(ids []int32, pos []int32) {
-	sort.Slice(ids, func(i, j int) bool { return pos[ids[i]] < pos[ids[j]] })
+// eval1 is gate id's frame-1 value.
+func (p *podem) eval1(id int32) byte {
+	switch k := p.kind[id]; k {
+	case netlist.Input:
+		return p.piVal[p.srcIdx[id]]
+	case netlist.DFF:
+		return p.ffVal[p.srcIdx[id]]
+	default:
+		return eval3(k, p.drivers(id), p.f1)
+	}
 }
 
-// propagate incrementally re-evaluates both frames after variable v
-// changed, applying the fault's frame-2 transforms.
-func (p *podem) propagate(v int, f faultsim.Fault) {
-	if p.cone1[v] == nil {
-		p.buildCones(v)
-	}
-	n := p.n
-	for _, id := range p.cone1[v] {
-		g := n.Gates[int(id)]
-		switch g.Type {
-		case netlist.Input:
-			p.f1[id] = p.piVal[p.piIdx[int(id)]]
-		case netlist.DFF:
-			p.f1[id] = p.ffVal[p.ffIdx[int(id)]]
-		default:
-			p.f1[id] = eval3(g, p.f1, -1, vX, 0)
-		}
-	}
-	for _, id := range p.cone2[v] {
-		g := n.Gates[int(id)]
-		switch g.Type {
-		case netlist.Input:
-			p.g2[id] = p.piVal[p.piIdx[int(id)]]
-			p.b2[id] = p.g2[id]
-			continue
-		case netlist.DFF:
-			p.g2[id] = p.f1[g.Fanin[0]]
-			p.b2[id] = p.g2[id]
-			if f.Pin == faultsim.OutputPin && f.Gate == int(id) {
-				p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
-			}
-			continue
-		}
-		p.g2[id] = eval3(g, p.g2, -1, vX, 0)
+// eval2 is gate id's frame-2 good and faulty value, with the fault's
+// transforms applied at its site. It reads frame 1 only through flop data
+// sources and the transform input.
+func (p *podem) eval2(id int32, f faultsim.Fault) (good, faulty byte) {
+	switch k := p.kind[id]; k {
+	case netlist.Input:
+		good = p.piVal[p.srcIdx[id]]
+		faulty = good
+	case netlist.DFF:
+		good = p.f1[p.fanin[p.finOff[id]]]
+		faulty = good
+	default:
+		fin := p.drivers(id)
+		good = eval3(k, fin, p.g2)
 		if f.Pin != faultsim.OutputPin && f.Gate == int(id) {
-			src := g.Fanin[f.Pin]
-			fval := applyTDF3(f.Pol, p.f1[src], p.b2[src])
-			p.b2[id] = eval3(g, p.b2, f.Pin, fval, 0)
+			// Input-pin fault on this gate: perturb that branch only.
+			src := fin[f.Pin]
+			faulty = p.evalPin(k, fin, f.Pin, applyTDF3(f.Pol, p.f1[src], p.b2[src]))
 		} else {
-			p.b2[id] = eval3(g, p.b2, -1, vX, 0)
-		}
-		if f.Pin == faultsim.OutputPin && f.Gate == int(id) {
-			p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
+			faulty = eval3(k, fin, p.b2)
 		}
 	}
+	if f.Pin == faultsim.OutputPin && f.Gate == int(id) {
+		faulty = applyTDF3(f.Pol, p.f1[id], faulty)
+	}
+	return good, faulty
+}
+
+// evalPin evaluates a gate of kind k on the faulty plane with input pin
+// pin reading val instead of its driver.
+func (p *podem) evalPin(k netlist.GateType, fin []int32, pin int, val byte) byte {
+	vals := p.pinVals[:len(fin)]
+	for i, s := range fin {
+		vals[i] = p.b2[s]
+	}
+	vals[pin] = val
+	return eval3(k, p.pinIdx[:len(fin)], vals)
+}
+
+// imply performs full three-valued evaluation of both frames and the
+// faulty frame-2 machine.
+func (p *podem) imply(f faultsim.Fault) {
+	for _, id := range p.order {
+		p.f1[id] = p.eval1(id)
+	}
+	for _, id := range p.order {
+		p.g2[id], p.b2[id] = p.eval2(id, f)
+	}
+}
+
+// propagate brings the three planes up to date after variable v changed,
+// given planes that matched a full imply before the change. It is
+// event-driven: only gates with a changed driver are re-evaluated,
+// frame 1 first, then frame 2, each in topological order. A frame-1
+// change reaches frame 2 at a primary input (static across frames), at
+// the flops it feeds, and at the fault site when it is the transform
+// input. Evaluation is a pure function of a gate's drivers, so the planes
+// end up equal to a full imply.
+func (p *podem) propagate(v int, f faultsim.Fault) {
+	tin := p.transformInput(f)
+	p.q1.push(p.pos[p.varGate(v)])
+	for at := p.q1.pop(); at >= 0; at = p.q1.pop() {
+		id := p.order[at]
+		val := p.eval1(id)
+		if val == p.f1[id] {
+			continue
+		}
+		p.f1[id] = val
+		for _, s := range p.sinks[p.sinkOff[id]:p.sinkOff[id+1]] {
+			p.q1.push(s)
+		}
+		for _, s := range p.ffSinks[p.ffOff[id]:p.ffOff[id+1]] {
+			p.q2.push(s)
+		}
+		if p.kind[id] == netlist.Input {
+			p.q2.push(at)
+		}
+		if id == tin {
+			p.q2.push(p.pos[f.Gate])
+		}
+	}
+	for at := p.q2.pop(); at >= 0; at = p.q2.pop() {
+		id := p.order[at]
+		good, faulty := p.eval2(id, f)
+		if good == p.g2[id] && faulty == p.b2[id] {
+			continue
+		}
+		p.g2[id], p.b2[id] = good, faulty
+		for _, s := range p.sinks[p.sinkOff[id]:p.sinkOff[id+1]] {
+			p.q2.push(s)
+		}
+	}
+}
+
+// posQueue is an event queue over topological positions, one bit each,
+// popped lowest first. Pushes may land anywhere before a drain starts;
+// during a drain every push is a sink of the gate just popped, so it lies
+// after it and the cursor only moves forward. Popping in topological
+// order evaluates each gate once, after every changed gate it reads.
+// Pushing a queued position again is a no-op.
+type posQueue struct {
+	bits   []uint64
+	lo, hi int // only words in [lo, hi) may hold a set bit
+}
+
+func newPosQueue(gates int) posQueue {
+	w := (gates + 63) / 64
+	return posQueue{bits: make([]uint64, w), lo: w}
+}
+
+func (q *posQueue) push(p int32) {
+	w := int(p >> 6)
+	q.bits[w] |= 1 << (p & 63)
+	q.lo = min(q.lo, w)
+	q.hi = max(q.hi, w+1)
+}
+
+// pop removes and returns the lowest queued position, or -1 when the
+// queue is empty.
+func (q *posQueue) pop() int32 {
+	for ; q.lo < q.hi; q.lo++ {
+		if b := q.bits[q.lo]; b != 0 {
+			q.bits[q.lo] = b & (b - 1)
+			return int32(q.lo<<6 | bits.TrailingZeros64(b))
+		}
+	}
+	q.lo, q.hi = len(q.bits), 0
+	return -1
 }
 
 // decision is one PODEM decision-stack entry.
@@ -244,15 +303,21 @@ type decision struct {
 
 // generate searches for a single LOC pattern detecting the fault. It
 // returns (pattern, true) on success. Implication is incremental: a full
-// three-plane evaluation once per target, then per-assignment cone updates.
+// three-plane evaluation once per target, then event-driven updates.
 func (p *podem) generate(f faultsim.Fault) (*sim.PatternSet, bool) {
+	return p.search(f, p.propagate)
+}
+
+// search is generate with the implication step after each assignment of
+// variable v supplied by the caller.
+func (p *podem) search(f faultsim.Fault, implyVar func(v int, f faultsim.Fault)) (*sim.PatternSet, bool) {
 	for i := range p.piVal {
 		p.piVal[i] = vX
 	}
 	for i := range p.ffVal {
 		p.ffVal[i] = vX
 	}
-	site := f.SiteGate(p.n)
+	site := int32(f.SiteGate(p.n))
 	want1 := v0 // launch value required at the site
 	if f.Pol == faultsim.SlowToFall {
 		want1 = v1
@@ -260,7 +325,7 @@ func (p *podem) generate(f faultsim.Fault) (*sim.PatternSet, bool) {
 	want2 := v1 - want1 // capture value completing the transition
 
 	p.imply(f)
-	siteCone := p.siteCone(f)
+	p.cone = p.siteCone(f, p.cone[:0])
 
 	// Bound total work per fault: assignments and backtracks both trigger
 	// one incremental propagation.
@@ -270,13 +335,14 @@ func (p *podem) generate(f faultsim.Fault) (*sim.PatternSet, bool) {
 	backtracks := 0
 
 	update := func(isPI bool, idx int, val byte) {
-		p.assign(isPI, idx, val)
 		v := idx
-		if !isPI {
+		if isPI {
+			p.piVal[idx] = val
+		} else {
+			p.ffVal[idx] = val
 			v += len(p.n.PIs)
 		}
-		p.propagate(v, f)
-		p.refreshSiteCone(siteCone, f)
+		implyVar(v, f)
 	}
 
 	for {
@@ -318,70 +384,20 @@ func (p *podem) generate(f faultsim.Fault) (*sim.PatternSet, bool) {
 	}
 }
 
-// siteCone returns the topologically sorted frame-2 combinational fan-out
-// cone of the fault gate. The faulty-plane transforms at the site read
-// frame-1 values, so any frame-1 change can invalidate this region even
-// when no frame-2 event reaches it.
-func (p *podem) siteCone(f faultsim.Fault) []int32 {
-	n := p.n
-	p.stamp++
-	st := p.stamp
-	var cone []int32
-	stack := []int32{int32(f.Gate)}
-	p.mark[f.Gate] = st
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+// siteCone appends to cone the fault gate and its frame-2 combinational
+// fan-out cone, in topological order. Outside it the faulty plane equals
+// the good one.
+func (p *podem) siteCone(f faultsim.Fault, cone []int32) []int32 {
+	q := &p.q2
+	q.push(p.pos[f.Gate])
+	for at := q.pop(); at >= 0; at = q.pop() {
+		id := p.order[at]
 		cone = append(cone, id)
-		g := n.Gates[int(id)]
-		if g.Type == netlist.DFF && int(id) != f.Gate {
-			continue
-		}
-		for _, s := range g.Fanout {
-			if p.mark[s] != st && n.Gates[s].Type != netlist.DFF {
-				p.mark[s] = st
-				stack = append(stack, int32(s))
-			}
+		for _, s := range p.sinks[p.sinkOff[id]:p.sinkOff[id+1]] {
+			q.push(s)
 		}
 	}
-	sortByPos(cone, p.pos)
 	return cone
-}
-
-// refreshSiteCone re-evaluates the faulty plane over the site cone.
-func (p *podem) refreshSiteCone(cone []int32, f faultsim.Fault) {
-	n := p.n
-	for _, id := range cone {
-		g := n.Gates[int(id)]
-		switch g.Type {
-		case netlist.Input:
-			continue
-		case netlist.DFF:
-			p.b2[id] = p.f1[g.Fanin[0]]
-			if f.Pin == faultsim.OutputPin && f.Gate == int(id) {
-				p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
-			}
-			continue
-		}
-		if f.Pin != faultsim.OutputPin && f.Gate == int(id) {
-			src := g.Fanin[f.Pin]
-			fval := applyTDF3(f.Pol, p.f1[src], p.b2[src])
-			p.b2[id] = eval3(g, p.b2, f.Pin, fval, 0)
-		} else {
-			p.b2[id] = eval3(g, p.b2, -1, vX, 0)
-		}
-		if f.Pin == faultsim.OutputPin && f.Gate == int(id) {
-			p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
-		}
-	}
-}
-
-func (p *podem) assign(isPI bool, idx int, val byte) {
-	if isPI {
-		p.piVal[idx] = val
-	} else {
-		p.ffVal[idx] = val
-	}
 }
 
 // pattern converts the current assignment (X bits filled with 0) into a
@@ -395,59 +411,6 @@ func (p *podem) pattern() *sim.PatternSet {
 		sim.SetBit(ps.FF[i], 0, v == v1)
 	}
 	return ps
-}
-
-// imply performs full three-valued evaluation of both frames and the
-// faulty frame-2 machine.
-func (p *podem) imply(f faultsim.Fault) {
-	n := p.n
-	for _, id := range p.order {
-		g := n.Gates[id]
-		switch g.Type {
-		case netlist.Input:
-			p.f1[id] = p.piVal[p.piIdx[id]]
-		case netlist.DFF:
-			p.f1[id] = p.ffVal[p.ffIdx[id]]
-		default:
-			p.f1[id] = eval3(g, p.f1, -1, vX, 0)
-		}
-	}
-	for _, id := range p.order {
-		g := n.Gates[id]
-		switch g.Type {
-		case netlist.Input:
-			p.g2[id] = p.piVal[p.piIdx[id]]
-		case netlist.DFF:
-			p.g2[id] = p.f1[g.Fanin[0]]
-		default:
-			p.g2[id] = eval3(g, p.g2, -1, vX, 0)
-		}
-	}
-	for _, id := range p.order {
-		g := n.Gates[id]
-		switch g.Type {
-		case netlist.Input:
-			p.b2[id] = p.piVal[p.piIdx[id]]
-		case netlist.DFF:
-			p.b2[id] = p.f1[g.Fanin[0]]
-			if f.Pin == faultsim.OutputPin && f.Gate == id {
-				p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
-			}
-			continue
-		default:
-			// Input-pin fault on this gate: perturb that branch only.
-			if f.Pin != faultsim.OutputPin && f.Gate == id {
-				src := g.Fanin[f.Pin]
-				fval := applyTDF3(f.Pol, p.f1[src], p.b2[src])
-				p.b2[id] = eval3(g, p.b2, f.Pin, fval, 0)
-			} else {
-				p.b2[id] = eval3(g, p.b2, -1, vX, 0)
-			}
-		}
-		if f.Pin == faultsim.OutputPin && f.Gate == id {
-			p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
-		}
-	}
 }
 
 // applyTDF3 is the three-valued slow-transition transform: where the launch
@@ -466,49 +429,43 @@ func applyTDF3(pol faultsim.Polarity, launch, capture byte) byte {
 	return capture
 }
 
-// eval3 evaluates gate g on the three-valued plane vals; if overridePin is
-// >= 0 that input takes overrideVal instead of its source value.
-func eval3(g *netlist.Gate, vals []byte, overridePin int, overrideVal byte, _ int) byte {
-	in := func(pin int) byte {
-		if pin == overridePin {
-			return overrideVal
-		}
-		return vals[g.Fanin[pin]]
-	}
-	switch g.Type {
+// eval3 evaluates a gate of kind k with drivers fin on the three-valued
+// plane vals.
+func eval3(k netlist.GateType, fin []int32, vals []byte) byte {
+	switch k {
 	case netlist.Buf, netlist.Output:
-		return in(0)
+		return vals[fin[0]]
 	case netlist.Not:
-		return not3(in(0))
+		return not3(vals[fin[0]])
 	case netlist.And, netlist.Nand:
 		v := v1
-		for pin := range g.Fanin {
-			v = and3(v, in(pin))
+		for _, s := range fin {
+			v = and3(v, vals[s])
 		}
-		if g.Type == netlist.Nand {
+		if k == netlist.Nand {
 			v = not3(v)
 		}
 		return v
 	case netlist.Or, netlist.Nor:
 		v := v0
-		for pin := range g.Fanin {
-			v = or3(v, in(pin))
+		for _, s := range fin {
+			v = or3(v, vals[s])
 		}
-		if g.Type == netlist.Nor {
+		if k == netlist.Nor {
 			v = not3(v)
 		}
 		return v
 	case netlist.Xor, netlist.Xnor:
 		v := v0
-		for pin := range g.Fanin {
-			v = xor3(v, in(pin))
+		for _, s := range fin {
+			v = xor3(v, vals[s])
 		}
-		if g.Type == netlist.Xnor {
+		if k == netlist.Xnor {
 			v = not3(v)
 		}
 		return v
 	case netlist.Mux:
-		sel, a, b := in(0), in(1), in(2)
+		sel, a, b := vals[fin[0]], vals[fin[1]], vals[fin[2]]
 		switch sel {
 		case v0:
 			return a
@@ -565,14 +522,11 @@ func (p *podem) detected(f faultsim.Fault) bool {
 			return true
 		}
 	}
-	if f.Pin != faultsim.OutputPin {
-		g := p.n.Gates[f.Gate]
-		if g.Type == netlist.DFF {
-			src := g.Fanin[0]
-			captured := applyTDF3(f.Pol, p.f1[src], p.b2[src])
-			if captured != vX && p.g2[src] != vX && captured != p.g2[src] {
-				return true
-			}
+	if f.Pin != faultsim.OutputPin && p.kind[f.Gate] == netlist.DFF {
+		src := p.fanin[p.finOff[f.Gate]]
+		captured := applyTDF3(f.Pol, p.f1[src], p.b2[src])
+		if captured != vX && p.g2[src] != vX && captured != p.g2[src] {
+			return true
 		}
 	}
 	return false
@@ -581,7 +535,7 @@ func (p *podem) detected(f faultsim.Fault) bool {
 // objective returns the next PODEM objective: activate the launch value,
 // then the capture transition, then advance the D-frontier. ok=false means
 // the current assignment cannot detect the fault (conflict).
-func (p *podem) objective(f faultsim.Fault, site int, want1, want2 byte) (gate int, val byte, frame int, ok bool) {
+func (p *podem) objective(f faultsim.Fault, site int32, want1, want2 byte) (gate int32, val byte, frame int, ok bool) {
 	switch p.f1[site] {
 	case vX:
 		return site, want1, 1, true
@@ -597,23 +551,24 @@ func (p *podem) objective(f faultsim.Fault, site int, want1, want2 byte) (gate i
 	default:
 		return 0, 0, 0, false
 	}
-	// Site is activated: advance the D-frontier in frame 2.
-	for _, id := range p.order {
-		g := p.n.Gates[id]
-		if g.Type.IsSource() || g.Type == netlist.Output {
+	// Site is activated: advance the D-frontier in frame 2. A D needs a
+	// faulty value that differs from the good one, which only the site
+	// cone holds, so the first frontier gate in topological order is the
+	// first in the cone.
+	for _, id := range p.cone {
+		k := p.kind[id]
+		if k.IsSource() || k == netlist.Output {
 			continue
 		}
+		// Frontier gates have unknown outputs on both planes.
 		if p.g2[id] != vX || p.b2[id] != vX {
-			// Output already resolved on at least one plane; frontier
-			// gates have unknown outputs on both planes.
-			if !(p.g2[id] == vX && p.b2[id] == vX) {
-				continue
-			}
+			continue
 		}
+		fin := p.drivers(id)
 		hasD, xPin := false, -1
-		for pin, src := range g.Fanin {
+		for pin, src := range fin {
 			gv, bv := p.g2[src], p.b2[src]
-			if f.Pin == pin && f.Gate == id {
+			if f.Pin == pin && f.Gate == int(id) {
 				bv = applyTDF3(f.Pol, p.f1[src], bv)
 			}
 			if gv != vX && bv != vX && gv != bv {
@@ -623,7 +578,7 @@ func (p *podem) objective(f faultsim.Fault, site int, want1, want2 byte) (gate i
 			}
 		}
 		if hasD && xPin >= 0 {
-			return g.Fanin[xPin], nonControlling(g.Type), 2, true
+			return fin[xPin], nonControlling(k), 2, true
 		}
 	}
 	return 0, 0, 0, false
@@ -644,17 +599,16 @@ func nonControlling(t netlist.GateType) byte {
 
 // backtrace walks an objective back to an unassigned decision variable.
 // frame 2 traversal crosses flop outputs into frame 1.
-func (p *podem) backtrace(gate int, val byte, frame int) (isPI bool, idx int, out byte, ok bool) {
-	n := p.n
-	for steps := 0; steps < 4*len(n.Gates); steps++ {
-		g := n.Gates[gate]
+func (p *podem) backtrace(gate int32, val byte, frame int) (isPI bool, idx int, out byte, ok bool) {
+	for steps := 0; steps < 4*len(p.kind); steps++ {
 		vals := p.f1
 		if frame == 2 {
 			vals = p.g2
 		}
-		switch g.Type {
+		fin := p.drivers(gate)
+		switch k := p.kind[gate]; k {
 		case netlist.Input:
-			i := p.piIdx[gate]
+			i := int(p.srcIdx[gate])
 			if p.piVal[i] != vX {
 				return false, 0, 0, false
 			}
@@ -662,47 +616,39 @@ func (p *podem) backtrace(gate int, val byte, frame int) (isPI bool, idx int, ou
 		case netlist.DFF:
 			if frame == 2 {
 				frame = 1
-				gate = g.Fanin[0]
+				gate = fin[0]
 				continue
 			}
-			i := p.ffIdx[gate]
+			i := int(p.srcIdx[gate])
 			if p.ffVal[i] != vX {
 				return false, 0, 0, false
 			}
 			return false, i, val, true
 		case netlist.Buf, netlist.Output:
-			gate = g.Fanin[0]
+			gate = fin[0]
 		case netlist.Not:
 			val = 1 - val
-			gate = g.Fanin[0]
+			gate = fin[0]
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-			inv := g.Type == netlist.Nand || g.Type == netlist.Nor
-			need := val
-			if inv {
-				need = 1 - need
+			// Whether every input must be non-controlling or one
+			// controlling input suffices, the first X input takes the
+			// value the output needs before inversion.
+			if k == netlist.Nand || k == netlist.Nor {
+				val = 1 - val
 			}
-			isAnd := g.Type == netlist.And || g.Type == netlist.Nand
-			// need==1 on an AND (all non-controlling) or need==0 on an OR:
-			// set every X input; pick the first. Otherwise one controlling
-			// input suffices; pick the first X input.
-			pin := firstXPin(g, vals)
+			pin := firstXPin(fin, vals)
 			if pin < 0 {
 				return false, 0, 0, false
 			}
-			gate = g.Fanin[pin]
-			if isAnd {
-				val = need // 1: non-controlling; 0: controlling
-			} else {
-				val = need
-			}
+			gate = fin[pin]
 		case netlist.Xor, netlist.Xnor:
 			// Parity: pick an X input and solve for it given known inputs.
 			parity := val
-			if g.Type == netlist.Xnor {
+			if k == netlist.Xnor {
 				parity = 1 - parity
 			}
 			pin := -1
-			for i, src := range g.Fanin {
+			for i, src := range fin {
 				v := vals[src]
 				if v == vX {
 					if pin < 0 {
@@ -715,17 +661,16 @@ func (p *podem) backtrace(gate int, val byte, frame int) (isPI bool, idx int, ou
 			if pin < 0 {
 				return false, 0, 0, false
 			}
-			gate = g.Fanin[pin]
+			gate = fin[pin]
 			val = parity
 		case netlist.Mux:
-			sel := vals[g.Fanin[0]]
-			switch sel {
+			switch vals[fin[0]] {
 			case v0:
-				gate = g.Fanin[1]
+				gate = fin[1]
 			case v1:
-				gate = g.Fanin[2]
+				gate = fin[2]
 			default:
-				gate = g.Fanin[0]
+				gate = fin[0]
 				val = v0
 			}
 		default:
@@ -735,8 +680,8 @@ func (p *podem) backtrace(gate int, val byte, frame int) (isPI bool, idx int, ou
 	return false, 0, 0, false
 }
 
-func firstXPin(g *netlist.Gate, vals []byte) int {
-	for pin, src := range g.Fanin {
+func firstXPin(fin []int32, vals []byte) int {
+	for pin, src := range fin {
 		if vals[src] == vX {
 			return pin
 		}

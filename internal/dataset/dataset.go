@@ -98,8 +98,9 @@ type BuildOptions struct {
 	Diagnosis diagnosis.Options
 	// RandVariant selects among random partitions when Config==RandPart.
 	RandVariant int64
-	// Workers bounds construction parallelism for paper-scale designs
-	// (tiled generation). The bundle is identical for every worker count.
+	// Workers bounds construction parallelism (0 = all cores): tiled
+	// generation of paper-scale designs and the graph's Topedge
+	// statistics. The bundle is identical for every worker count.
 	Workers int
 }
 
@@ -163,7 +164,7 @@ func Build(p gen.Profile, cfg ConfigName, opt BuildOptions) (*Bundle, error) {
 		Netlist:    m3d,
 		Arch:       arch,
 		ATPG:       ares,
-		Graph:      hgraph.Build(arch),
+		Graph:      hgraph.Build(arch, opt.Workers),
 		Diag:       diag,
 		faults:     faults,
 		mivFaults:  faultsim.MIVFaults(m3d),

@@ -174,7 +174,7 @@ func (s *Suite) measureRuntime(design string) (*RuntimeBreakdown, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	g2 := hgraph.Build(b.Arch)
+	g2 := hgraph.Build(b.Arch, s.Workers)
 	rb.FeatureConstruction = time.Since(t0)
 	_ = g2
 

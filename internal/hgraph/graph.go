@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/scan"
 	"repro/internal/sim"
 )
@@ -85,8 +86,9 @@ var FeatureNames = [FeatureDim]string{
 
 // Build constructs the heterogeneous graph. res supplies good-machine
 // transition data indirectly at back-trace time; Build itself needs only
-// the structure.
-func Build(arch *scan.Arch) *Graph {
+// the structure. workers bounds the parallelism of the Topedge statistics
+// (0 = all cores); the graph is identical for every worker count.
+func Build(arch *scan.Arch, workers int) *Graph {
 	n := arch.Netlist()
 	g := &Graph{arch: arch}
 
@@ -144,74 +146,118 @@ func Build(arch *scan.Arch) *Graph {
 	for _, gate := range n.Gates {
 		g.maxTier = max(g.maxTier, gate.Tier)
 	}
-	g.buildTopedgeStats(n)
+	g.buildTopedgeStats(n, workers)
 	return g
 }
 
 // buildTopedgeStats runs one reverse BFS per Topnode over the pin graph,
 // accumulating per-node Topedge count, distance and MIV-count statistics.
-func (g *Graph) buildTopedgeStats(n *netlist.Netlist) {
+// The BFSs run on up to workers goroutines (0 = all cores), each adding
+// integers into its own accumulators, which are merged by integer
+// addition. The sums do not depend on which worker ran which BFS, and they
+// stay far below 2^53, where float64 holds every integer exactly, so the
+// statistics are bitwise the same at every worker count and equal to
+// float64 accumulation in Topnode order.
+func (g *Graph) buildTopedgeStats(n *netlist.Netlist, workers int) {
 	N := g.NumNodes
-	g.NTop = make([]float64, N)
-	sumD := make([]float64, N)
-	sumD2 := make([]float64, N)
-	sumM := make([]float64, N)
-	sumM2 := make([]float64, N)
-
-	dist := make([]int32, N)
-	mivs := make([]int32, N)
-	stamp := make([]int32, N)
-	for i := range stamp {
-		stamp[i] = -1
+	miv := make([]bool, N)
+	for v, gate := range g.NodeGate {
+		miv[v] = n.Gates[gate].IsMIV
 	}
-	queue := make([]int32, 0, 1024)
-
 	tops := make([]int32, 0, len(g.TopFF)+len(g.TopPO))
 	tops = append(tops, g.TopFF...)
 	tops = append(tops, g.TopPO...)
-	for t, top := range tops {
-		st := int32(t)
-		queue = queue[:0]
-		queue = append(queue, top)
-		stamp[top] = st
-		dist[top] = 0
-		mivs[top] = 0
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			g.NTop[v]++
-			d := float64(dist[v])
-			m := float64(mivs[v])
-			sumD[v] += d
-			sumD2[v] += d * d
-			sumM[v] += m
-			sumM2[v] += m * m
-			for _, u := range g.Fanin[v] {
-				if stamp[u] == st {
-					continue
-				}
-				stamp[u] = st
-				dist[u] = dist[v] + 1
-				mivs[u] = mivs[v]
-				if n.Gates[g.NodeGate[u]].IsMIV {
-					mivs[u]++
-				}
-				queue = append(queue, u)
-			}
+	accs := make([]*topedgeAcc, max(1, min(par.Workers(workers), len(tops))))
+	par.ForEachWorker(len(accs), len(tops), func(worker, t int) {
+		if accs[worker] == nil {
+			accs[worker] = newTopedgeAcc(N)
 		}
-	}
+		accs[worker].bfs(g.Fanin, miv, tops[t], int32(t))
+	})
+
+	g.NTop = make([]float64, N)
 	g.DMean = make([]float64, N)
 	g.DStd = make([]float64, N)
 	g.MIVMean = make([]float64, N)
 	g.MIVStd = make([]float64, N)
 	for v := 0; v < N; v++ {
-		c := g.NTop[v]
-		if c == 0 {
+		var cnt int32
+		var sumD, sumD2, sumM, sumM2 int64
+		for _, a := range accs {
+			if a != nil {
+				cnt += a.count[v]
+				sumD += a.sumD[v]
+				sumD2 += a.sumD2[v]
+				sumM += a.sumM[v]
+				sumM2 += a.sumM2[v]
+			}
+		}
+		if cnt == 0 {
 			continue
 		}
-		g.DMean[v] = sumD[v] / c
-		g.MIVMean[v] = sumM[v] / c
-		g.DStd[v] = math.Sqrt(math.Max(0, sumD2[v]/c-g.DMean[v]*g.DMean[v]))
-		g.MIVStd[v] = math.Sqrt(math.Max(0, sumM2[v]/c-g.MIVMean[v]*g.MIVMean[v]))
+		c := float64(cnt)
+		g.NTop[v] = c
+		g.DMean[v] = float64(sumD) / c
+		g.MIVMean[v] = float64(sumM) / c
+		g.DStd[v] = math.Sqrt(math.Max(0, float64(sumD2)/c-g.DMean[v]*g.DMean[v]))
+		g.MIVStd[v] = math.Sqrt(math.Max(0, float64(sumM2)/c-g.MIVMean[v]*g.MIVMean[v]))
+	}
+}
+
+// topedgeAcc is one worker's Topedge accumulators and BFS scratch, 48 B
+// per pin node.
+type topedgeAcc struct {
+	count                    []int32
+	sumD, sumD2, sumM, sumM2 []int64
+	dist, mivs, stamp        []int32
+	queue                    []int32
+}
+
+func newTopedgeAcc(nodes int) *topedgeAcc {
+	a := &topedgeAcc{
+		count: make([]int32, nodes),
+		sumD:  make([]int64, nodes),
+		sumD2: make([]int64, nodes),
+		sumM:  make([]int64, nodes),
+		sumM2: make([]int64, nodes),
+		dist:  make([]int32, nodes),
+		mivs:  make([]int32, nodes),
+		stamp: make([]int32, nodes),
+		queue: make([]int32, 0, 1024),
+	}
+	for i := range a.stamp {
+		a.stamp[i] = -1
+	}
+	return a
+}
+
+// bfs walks the fan-in cone of Topnode top, the st-th Topnode, adding each
+// reached node's shortest distance and path MIV count to its sums.
+func (a *topedgeAcc) bfs(fanin [][]int32, miv []bool, top, st int32) {
+	a.queue = append(a.queue[:0], top)
+	a.stamp[top] = st
+	a.dist[top] = 0
+	a.mivs[top] = 0
+	for qi := 0; qi < len(a.queue); qi++ {
+		v := a.queue[qi]
+		d, m := int64(a.dist[v]), int64(a.mivs[v])
+		a.count[v]++
+		a.sumD[v] += d
+		a.sumD2[v] += d * d
+		a.sumM[v] += m
+		a.sumM2[v] += m * m
+		for _, u := range fanin[v] {
+			if a.stamp[u] == st {
+				continue
+			}
+			a.stamp[u] = st
+			a.dist[u] = a.dist[v] + 1
+			a.mivs[u] = a.mivs[v]
+			if miv[u] {
+				a.mivs[u]++
+			}
+			a.queue = append(a.queue, u)
+		}
 	}
 }
 

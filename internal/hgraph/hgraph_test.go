@@ -53,7 +53,7 @@ func getFixture(t *testing.T) *fixture {
 	}
 	res := s.Run(ares.Patterns)
 	cached = &fixture{
-		g:    Build(arch),
+		g:    Build(arch, 0),
 		s:    s,
 		eng:  faultsim.NewEngine(s),
 		ps:   ares.Patterns,

@@ -229,7 +229,7 @@ func graphFor(t *testing.T, n *netlist.Netlist) *hgraph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hgraph.Build(arch)
+	return hgraph.Build(arch, 0)
 }
 
 func TestOversampleBalances(t *testing.T) {
