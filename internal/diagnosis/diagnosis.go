@@ -26,6 +26,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/cone"
 	"repro/internal/failurelog"
 	"repro/internal/faultsim"
 	"repro/internal/netlist"
@@ -219,61 +220,81 @@ func (d *Engine) Detects(f faultsim.Fault) bool {
 	return w.fsim.Detects(w.res, f)
 }
 
-// suspects computes the per-response suspect counts: for every failing
-// (pattern, obs) response, each gate in the fan-in cone of the failing
-// observation that transitions under the pattern gets one vote. The
-// responses of one observation share its cone, so the cone is walked once
-// per failing observation, and each gate gets one vote per failing pattern
-// it transitions under, counted word-parallel. The cone is the union of
-// the observation's capture-gate cones: a source gate expands only when it
-// is one of those capture gates, as in netlist.FaninCone.
-func (d *Engine) suspects(log *failurelog.Log) (count []int32, responses int) {
+// suspects counts, per gate, the failing (pattern, obs) responses of a
+// sanitized log in whose fan-in cone the gate transitions under the
+// pattern, in one reverse-topological sweep over the union of the failing
+// observations' cones (cone.Sweep). It also returns the patterns that fail
+// anywhere in the log. An observation's cone is the union of its capture
+// gates' cones under netlist.FaninCone's rule: the cone stops at PIs and
+// flop outputs, except that a capture gate that is itself a PI or flop
+// output expands its fan-in. So a source capture gate hands its own
+// observation's entries to its fan-in when it is seeded, and no source
+// passes on what its sinks hand it.
+func (d *Engine) suspects(log *failurelog.Log) (count []int32, fail []uint64) {
 	n := d.arch.Netlist()
-	count = make([]int32, len(n.Gates))
-	mark := make([]int32, len(n.Gates)) // observation stamp: visited
-	root := make([]int32, len(n.Gates)) // observation stamp: capture gate
-	var stack []int32
-	for i, of := range log.ByObservation(d.ps.Words()) {
-		st := int32(i + 1)
-		for _, obsGate := range d.arch.ObsGates(int(of.Obs), log.Compacted) {
+	sw := cone.NewSweep(n, log, d.res)
+	for i := range sw.NumObs() {
+		o, set := sw.Observation(i)
+		for _, obsGate := range d.arch.ObsGates(int(o), log.Compacted) {
 			c := d.arch.CaptureGate(obsGate)
-			root[c] = st
-			if mark[c] != st {
-				mark[c] = st
-				stack = append(stack, int32(c))
-			}
-		}
-		for len(stack) > 0 {
-			g := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			count[g] += int32(d.res.CountTransitions(int(g), of.Mask))
-			gate := n.Gates[g]
-			if gate.Type.IsSource() && root[g] != st {
-				continue // cone stops at PIs and flop outputs
-			}
-			for _, f := range gate.Fanin {
-				if mark[f] != st {
-					mark[f] = st
-					stack = append(stack, int32(f))
+			sw.Or(c, set)
+			if gate := n.Gates[c]; gate.Type.IsSource() {
+				for _, f := range gate.Fanin {
+					sw.Or(f, set)
 				}
 			}
 		}
 	}
-	return count, len(log.Fails)
+	count = make([]int32, len(n.Gates))
+	for {
+		g, set := sw.Pop()
+		if g < 0 {
+			return count, sw.Fail()
+		}
+		count[g] = sw.Count(g, set)
+		gate := n.Gates[g]
+		if gate.Type.IsSource() {
+			continue
+		}
+		for _, f := range gate.Fanin {
+			sw.Or(f, set)
+		}
+	}
 }
 
 // maxScoredCandidates bounds the fault-simulation budget per log.
 const maxScoredCandidates = 240
 
-// extractCandidates turns suspect votes into a vote-ranked candidate pool.
-// Commercial tools keep plausible candidates that explain many (not
-// necessarily all) failing responses, so every site voted by at least 30%
-// of the responses enters the pool, best-voted first, up to the scoring
-// budget. Polarity follows the transitions the site makes under failing
-// patterns.
-func (d *Engine) extractCandidates(log *failurelog.Log, count []int32, responses int) []faultsim.Fault {
+// extractCandidates turns suspect votes into candidate faults: each site
+// of votedSites gets the polarity of the transitions it makes under the
+// log's failing patterns, fail, read word-parallel — slow-to-rise if it
+// rises under one, slow-to-fall if it falls under one.
+func (d *Engine) extractCandidates(count []int32, fail []uint64, responses int) []faultsim.Fault {
+	var cands []faultsim.Fault
+	for _, id := range d.votedSites(count, responses) {
+		v1, v2 := d.res.V1[id], d.res.V2[id]
+		var rise, fall uint64
+		for w, f := range fail {
+			t := (v1[w] ^ v2[w]) & f
+			rise |= t &^ v1[w]
+			fall |= t & v1[w]
+		}
+		if rise != 0 {
+			cands = append(cands, faultsim.Fault{Gate: id, Pin: faultsim.OutputPin, Pol: faultsim.SlowToRise})
+		}
+		if fall != 0 {
+			cands = append(cands, faultsim.Fault{Gate: id, Pin: faultsim.OutputPin, Pol: faultsim.SlowToFall})
+		}
+	}
+	return cands
+}
+
+// votedSites ranks the candidate sites. Commercial tools keep plausible
+// candidates that explain many (not necessarily all) failing responses,
+// so every site voted by at least 30% of the responses enters the pool,
+// best-voted first, up to the scoring budget.
+func (d *Engine) votedSites(count []int32, responses int) []int {
 	n := d.arch.Netlist()
-	fails := log.FailsByPattern()
 	type voted struct {
 		id    int
 		votes int32
@@ -309,30 +330,11 @@ func (d *Engine) extractCandidates(log *failurelog.Log, count []int32, responses
 		}
 		return pool[i].id < pool[j].id
 	})
-	if len(pool) > maxScoredCandidates {
-		pool = pool[:maxScoredCandidates]
+	sites := make([]int, min(len(pool), maxScoredCandidates))
+	for i := range sites {
+		sites[i] = pool[i].id
 	}
-	var cands []faultsim.Fault
-	for _, v := range pool {
-		rise, fall := false, false
-		for p := range fails {
-			if !d.res.HasTransition(v.id, int(p)) {
-				continue
-			}
-			if !sim.GetBit(d.res.V1[v.id], int(p)) {
-				rise = true
-			} else {
-				fall = true
-			}
-		}
-		if rise {
-			cands = append(cands, faultsim.Fault{Gate: v.id, Pin: faultsim.OutputPin, Pol: faultsim.SlowToRise})
-		}
-		if fall {
-			cands = append(cands, faultsim.Fault{Gate: v.id, Pin: faultsim.OutputPin, Pol: faultsim.SlowToFall})
-		}
-	}
-	return cands
+	return sites
 }
 
 // branchCandidates expands a net-level candidate into its per-branch
@@ -402,8 +404,8 @@ func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report,
 		return nil, fmt.Errorf("diagnosis: %w", err)
 	}
 	span := obs.Start(ctx, "diagnosis.extract")
-	count, responses := d.suspects(log)
-	cands := d.extractCandidates(log, count, responses)
+	count, fail := d.suspects(log)
+	cands := d.extractCandidates(count, fail, len(log.Fails))
 	span.End()
 	obs.Add(ctx, "m3d_diag_candidates_extracted_total", int64(len(cands)))
 	w, err := d.forks.get(ctx, d)

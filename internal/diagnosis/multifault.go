@@ -59,13 +59,13 @@ func (d *Engine) diagnoseMulti(ctx context.Context, log *failurelog.Log) (*Repor
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("diagnosis: multi: %w", err)
 	}
-	count, responses := d.suspects(log)
+	count, _ := d.suspects(log)
 
 	// Multi-fault extraction: a defect only needs to explain a fraction of
 	// the responses. Take every site voted by at least 15% of responses,
 	// falling back to the best-voted sites.
 	n := d.arch.Netlist()
-	need := int32(float64(responses) * 0.15)
+	need := int32(float64(len(log.Fails)) * 0.15)
 	if need < 1 {
 		need = 1
 	}

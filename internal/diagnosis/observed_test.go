@@ -110,8 +110,8 @@ func TestScoreCandidateMatchesMapScorer(t *testing.T) {
 			if clean.Truncated {
 				truncated++
 			}
-			count, responses := fx.eng.suspects(clean)
-			cands := fx.eng.extractCandidates(clean, count, responses)
+			count, fail := fx.eng.suspects(clean)
+			cands := fx.eng.extractCandidates(count, fail, len(clean.Fails))
 			var branches []faultsim.Fault
 			for _, c := range cands {
 				branches = append(branches, fx.eng.branchCandidates(c)...)
@@ -158,8 +158,8 @@ func TestScoreCandidateZeroAllocs(t *testing.T) {
 		}
 		log := fx.eng.InjectLog(faults, compacted)
 		eng := fx.eng.Fork()
-		count, responses := eng.suspects(log)
-		cands := eng.extractCandidates(log, count, responses)
+		count, fail := eng.suspects(log)
+		cands := eng.extractCandidates(count, fail, len(log.Fails))
 		o := eng.NewObserved(log)
 		score := func() {
 			for _, c := range cands {

@@ -65,28 +65,6 @@ func (l *Log) LastPattern() int32 {
 	return last
 }
 
-// FailingPatterns returns the distinct failing pattern IDs in order.
-func (l *Log) FailingPatterns() []int32 {
-	var out []int32
-	seen := make(map[int32]bool)
-	for _, f := range l.Fails {
-		if !seen[f.Pattern] {
-			seen[f.Pattern] = true
-			out = append(out, f.Pattern)
-		}
-	}
-	return out
-}
-
-// FailsByPattern groups failing observations by pattern.
-func (l *Log) FailsByPattern() map[int32][]int32 {
-	m := make(map[int32][]int32)
-	for _, f := range l.Fails {
-		m[f.Pattern] = append(m[f.Pattern], f.Obs)
-	}
-	return m
-}
-
 // ObsFails is one observation point's share of a failure log: the patterns
 // it fails on, as bitmasks.
 type ObsFails struct {

@@ -41,21 +41,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFailingPatterns(t *testing.T) {
-	l := sample()
-	ps := l.FailingPatterns()
-	if len(ps) != 2 || ps[0] != 0 || ps[1] != 2 {
-		t.Fatalf("FailingPatterns = %v", ps)
-	}
-}
-
-func TestFailsByPattern(t *testing.T) {
-	m := sample().FailsByPattern()
-	if len(m[0]) != 2 || len(m[2]) != 1 {
-		t.Fatalf("FailsByPattern = %v", m)
-	}
-}
-
 func TestEmpty(t *testing.T) {
 	if !(&Log{}).Empty() {
 		t.Fatal("empty log not Empty")

@@ -128,11 +128,7 @@ type Engine struct {
 // NewEngine builds a fault-simulation engine over a simulator.
 func NewEngine(s *sim.Simulator) *Engine {
 	n := s.Netlist()
-	e := &Engine{s: s, n: n, order: n.TopoOrder(), capt: newCaptureIndex(n)}
-	e.pos = make([]int32, len(n.Gates))
-	for i, id := range e.order {
-		e.pos[id] = int32(i)
-	}
+	e := &Engine{s: s, n: n, order: n.TopoOrder(), pos: n.TopoPos(), capt: newCaptureIndex(n)}
 	e.flat = newFlat(n, e.pos)
 	e.stems = e.newStems()
 	return e

@@ -48,7 +48,9 @@ func votesPerResponse(g *Graph, log *failurelog.Log, res *sim.Result) (count []i
 // backtraceCorpus returns seeded failure logs under the good-machine
 // result res in one observation mode: single- and multi-fault injections,
 // each also through the noise model, cut at half its last pattern, with
-// its fails shuffled, and with some fails listed two or three times.
+// its fails shuffled, and with some fails listed two or three times; and
+// one log holding every injection's fails, whose failing observations and
+// duplicate layers number more than 64.
 func backtraceCorpus(f *fixture, res *sim.Result, compacted bool) map[string]*failurelog.Log {
 	rng := rand.New(rand.NewSource(71))
 	faults := faultsim.AllFaults(f.g.Netlist())
@@ -70,7 +72,9 @@ func backtraceCorpus(f *fixture, res *sim.Result, compacted bool) map[string]*fa
 	}
 	model := noise.ModelAt(0.6, 73)
 	logs := map[string]*failurelog.Log{}
+	all := &failurelog.Log{Design: f.g.Netlist().Name, Compacted: compacted}
 	for i, log := range base {
+		all.Fails = append(all.Fails, log.Fails...)
 		name := fmt.Sprintf("log%d", i)
 		logs[name] = log
 		logs[name+"/noise"] = model.Apply(log, uint64(i), res.N, f.arch.NumObs(compacted))
@@ -93,19 +97,37 @@ func backtraceCorpus(f *fixture, res *sim.Result, compacted bool) map[string]*fa
 		logs[name+"/shuffled"] = shuffled
 		logs[name+"/dup"] = dup
 	}
+	logs["all"] = all
 	return logs
 }
 
-// TestBacktraceMatchesPerResponseWalk checks that walking each failing
-// observation's cone once reproduces the per-response walk's vote counts,
-// picked nodes and subgraph, uncompacted and under EDT. Random patterns
-// pad the ATPG set to three words with a partial tail.
+// sourceCapture reports whether one of the log's failing observations
+// captures a PI or a flop output: its Topnode's driver output pin has no
+// fan-in.
+func sourceCapture(g *Graph, log *failurelog.Log) bool {
+	n := g.Netlist()
+	for _, f := range log.Fails {
+		for _, obsGate := range g.arch.ObsGates(int(f.Obs), log.Compacted) {
+			if n.Gates[g.NodeDriver[g.InNode[obsGate][0]]].Type.IsSource() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestBacktraceMatchesPerResponseWalk checks that the one-sweep vote
+// count reproduces the per-response walk's vote counts, picked nodes and
+// subgraph, uncompacted and under EDT. Random patterns pad the ATPG set to
+// three words with a partial tail. The corpus must fail in the third
+// pattern word, hold a log whose entry sets span two words, and fail an
+// observation that captures a PI or a flop output.
 func TestBacktraceMatchesPerResponseWalk(t *testing.T) {
 	f := getFixture(t)
 	ps := f.ps.Append(sim.RandomPatterns(f.g.Netlist(), 150-f.ps.N, 79))
 	res := f.s.Run(ps)
 	for _, compacted := range []bool{false, true} {
-		wide := 0
+		wide, twoWord, sourced := 0, 0, 0
 		for name, log := range backtraceCorpus(f, res, compacted) {
 			log, _ = log.Sanitized(res.N, f.arch.NumObs(compacted))
 			if log.Empty() {
@@ -113,6 +135,16 @@ func TestBacktraceMatchesPerResponseWalk(t *testing.T) {
 			}
 			if log.LastPattern() >= 128 {
 				wide++
+			}
+			entries := 0
+			for _, of := range log.ByObservation(ps.Words()) {
+				entries += len(of.Mask) / ps.Words()
+			}
+			if entries > 64 {
+				twoWord++
+			}
+			if sourceCapture(f.g, log) {
+				sourced++
 			}
 			count, err := f.g.votes(context.Background(), log, res)
 			if err != nil {
@@ -132,8 +164,9 @@ func TestBacktraceMatchesPerResponseWalk(t *testing.T) {
 				t.Fatalf("compacted=%v log %s: subgraph differs (%d nodes, want %d)", compacted, name, got.NumNodes(), want.NumNodes())
 			}
 		}
-		if wide == 0 {
-			t.Fatalf("compacted=%v: no log fails in the third pattern word; corpus too weak", compacted)
+		if wide == 0 || twoWord == 0 || sourced == 0 {
+			t.Fatalf("compacted=%v: %d logs fail in the third pattern word, %d have more than 64 entries, %d fail at a source capture gate; corpus too weak",
+				compacted, wide, twoWord, sourced)
 		}
 	}
 }

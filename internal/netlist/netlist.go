@@ -18,7 +18,8 @@ type Netlist struct {
 	FFs []int
 
 	levelized bool
-	order     []int // cached topological order of combinational evaluation
+	order     []int   // cached topological order of combinational evaluation
+	pos       []int32 // each gate's index in order
 }
 
 // New returns an empty netlist with the given name.
@@ -209,6 +210,10 @@ func (n *Netlist) Levelize() error {
 		g.Level = maxIn + 1
 	}
 	n.order = order
+	n.pos = make([]int32, len(order))
+	for i, id := range order {
+		n.pos[id] = int32(i)
+	}
 	n.levelized = true
 	return nil
 }
@@ -222,6 +227,15 @@ func (n *Netlist) TopoOrder() []int {
 		panic("netlist: TopoOrder before Levelize")
 	}
 	return n.order
+}
+
+// TopoPos returns each gate's position in TopoOrder, indexed by gate ID.
+// Levelize must have been called, otherwise TopoPos panics.
+func (n *Netlist) TopoPos() []int32 {
+	if !n.levelized {
+		panic("netlist: TopoPos before Levelize")
+	}
+	return n.pos
 }
 
 // topoOrder computes an evaluation order via Kahn's algorithm on the

@@ -14,7 +14,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"repro/internal/netlist"
@@ -131,7 +130,7 @@ type Result struct {
 	N      int
 	V1, V2 [][]uint64
 
-	v2 []uint64 // V2's backing array, gate-major
+	v1, v2 []uint64 // V1's and V2's backing arrays, gate-major
 }
 
 // FlatV2 returns the capture-cycle values of every gate as one gate-major
@@ -139,6 +138,9 @@ type Result struct {
 // per signal. Kernels that index many gates read it without loading a
 // slice header per gate. Only results from Simulator.Run have one.
 func (r *Result) FlatV2() []uint64 { return r.v2 }
+
+// FlatV1 is FlatV2 for the launch-cycle values, which V1 aliases.
+func (r *Result) FlatV1() []uint64 { return r.v1 }
 
 // Trans returns the bit-parallel transition indicator V1 XOR V2 for a gate.
 // Bits beyond the pattern count are masked off.
@@ -156,21 +158,6 @@ func (r *Result) Trans(gate int) []uint64 {
 // HasTransition reports whether the gate switches under pattern k.
 func (r *Result) HasTransition(gate, k int) bool {
 	return GetBit(r.V1[gate], k) != GetBit(r.V2[gate], k)
-}
-
-// CountTransitions returns how many of the patterns set in mask the gate
-// switches under. mask may stack several signal-wide layers (its length a
-// multiple of the signal's); each layer counts separately.
-func (r *Result) CountTransitions(gate int, mask []uint64) int {
-	v1, v2 := r.V1[gate], r.V2[gate]
-	n := 0
-	for l := 0; l < len(mask); l += len(v1) {
-		m := mask[l : l+len(v1)]
-		for w := range m {
-			n += bits.OnesCount64((v1[w] ^ v2[w]) & m[w])
-		}
-	}
-	return n
 }
 
 // Simulator evaluates a levelized netlist bit-parallel.
@@ -211,7 +198,7 @@ func (s *Simulator) Run(ps *PatternSet) *Result {
 	words := ps.Words()
 	ng := len(s.n.Gates)
 	res := &Result{N: ps.N}
-	res.V1, _ = makeValues(ng, words)
+	res.V1, res.v1 = makeValues(ng, words)
 	res.V2, res.v2 = makeValues(ng, words)
 
 	// Launch pass: PPIs come straight from the scan load.
